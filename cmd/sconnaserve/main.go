@@ -84,6 +84,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -284,9 +285,13 @@ func runRouter(addr string, replicas []string, requestTimeout, refresh time.Dura
 	fmt.Fprintln(os.Stderr, "sconnaserve: drained clean")
 }
 
+// engineNames is the documented -engine list, in usage order; every
+// name has a buildFactory case.
+var engineNames = []string{"sconna", "sconna-packed", "exact"}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	engineName := flag.String("engine", "sconna", "dot-product engine: sconna|sconna-packed|exact")
+	engineName := flag.String("engine", "sconna", "dot-product engine: "+strings.Join(engineNames, "|"))
 	deterministic := flag.Bool("deterministic", false,
 		"pin request->engine assignment by per-model arrival index (replayed traces are bit-identical)")
 	opStats := flag.Bool("op-stats", false,
@@ -338,6 +343,11 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "mount /debug/pprof on the serving listener")
 	flag.Parse()
 
+	// Reject a bad engine name before any training or artifact loading.
+	if !slices.Contains(engineNames, strings.ToLower(*engineName)) {
+		fmt.Fprintf(os.Stderr, "sconnaserve: unknown -engine %q; want one of %s\n", *engineName, strings.Join(engineNames, "|"))
+		os.Exit(2)
+	}
 	if *router {
 		if *replicas == "" {
 			fatal(fmt.Errorf("-router needs -replica host:port,..."))

@@ -219,11 +219,13 @@
 //     full network forwards under -race).
 //
 //   - Serving integration: sckernel.Engine implements quant.DotEngine
-//     with a batched slab API (PackDKV once per weight vector,
-//     DotBatch over micro-batch slabs), and sckernel.EngineFactory
-//     drops into serve pools (sconnaserve -engine sconna-packed) with
-//     the same shard-seed derivation as the scalar factory, so
-//     deterministic replay stays bit-identical at any pool size.
+//     and the weight-stationary quant.RowDotter boundary: DotRows packs
+//     a weight vector once (PackDKV per psum chunk) and runs it against
+//     every operand row of a micro-batch, bit-identical to the per-row
+//     Dot loop, ADC draws included. sckernel.EngineFactory drops into
+//     serve pools (sconnaserve -engine sconna-packed) with the same
+//     shard-seed derivation as the scalar factory, so deterministic
+//     replay stays bit-identical at any pool size.
 //
 //   - Fuzz tier: internal/bitstream carries native Go fuzz targets
 //     (round-trip parsing, AndPopCount vs a naive oracle, tail-mask
@@ -254,9 +256,12 @@
 //     request, greedily drains whatever else is pending and optionally
 //     waits up to MaxWait for the batch to fill, then a worker runs the
 //     batch through quant.(*Network).ForwardBatch on a pooled engine.
-//     One batched pass gathers each layer's weight vectors once per
-//     micro-batch instead of once per example — the serving-side payoff
-//     of the PR 3 compute plane. A full queue rejects instead of
+//     One batched pass gathers each layer's operand rows batch-wide and
+//     each weight vector once per micro-batch; a shared engine that
+//     implements quant.RowDotter then takes one DotRows call per
+//     (layer, output channel, pixel) covering every dense example
+//     (other engines get the same rows as per-row Dot calls, in the
+//     same order). A full queue rejects instead of
 //     buffering (ErrOverloaded, HTTP 429 with Retry-After); requests
 //     whose context ends while queued are skipped, not computed.
 //

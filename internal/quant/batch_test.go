@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/matmul"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -122,13 +123,161 @@ func TestForwardBatchValidates(t *testing.T) {
 	})
 }
 
+// rowRecordingEngine is a recording RowDotter: DotRows logs each of its
+// rows as the Dot call the RowDotter contract says it stands for, so
+// its log is directly comparable with a Dot-only recorder's.
+type rowRecordingEngine struct {
+	recordingEngine
+	skips    bool
+	rowCalls int // DotRows calls
+	rows     int // calls that arrived as DotRows rows
+}
+
+func (r *rowRecordingEngine) SkipsZeros() bool { return r.skips }
+
+func (r *rowRecordingEngine) DotRows(rows, dkv, out []int) {
+	r.rowCalls++
+	r.rows += len(out)
+	n := len(dkv)
+	for i := range out {
+		out[i] = r.Dot(rows[i*n:(i+1)*n], dkv)
+	}
+}
+
+// sharedCallOrder is the call sequence a single engine shared by a
+// batch must see, built from each example's serial (ForwardScratch)
+// sequence on a dense-only engine: per conv layer and output channel,
+// pixel-major across the examples — except a full-window non-depthwise
+// conv, which runs each example's pixels in turn — and per dense output,
+// example by example.
+func sharedCallOrder(q *Network, h, w int, serial [][][2][]int) [][2][]int {
+	var out [][2][]int
+	off := 0 // start of the current layer's calls in every serial sequence
+	for _, l := range q.layers {
+		switch {
+		case l.conv != nil:
+			c := l.conv
+			pos := matmul.Positions(h, w, c.K, c.Stride, c.Pad)
+			npix := pos.NumPix()
+			for oc := 0; oc < c.OutC; oc++ {
+				base := off + oc*npix
+				if pos.Full() && !c.Depthwise {
+					for e := range serial {
+						out = append(out, serial[e][base:base+npix]...)
+					}
+					continue
+				}
+				for pix := 0; pix < npix; pix++ {
+					for e := range serial {
+						out = append(out, serial[e][base+pix])
+					}
+				}
+			}
+			off += c.OutC * npix
+			h, w = pos.OutH, pos.OutW
+		case l.dense != nil:
+			for o := 0; o < l.dense.Out; o++ {
+				for e := range serial {
+					out = append(out, serial[e][off+o])
+				}
+			}
+			off += l.dense.Out
+		case l.pool:
+			h, w = h/2, w/2
+		}
+	}
+	return out
+}
+
+func assertSameCalls(t *testing.T, what string, got, want [][2][]int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d calls, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		for side := range want[i] {
+			a, b := got[i][side], want[i][side]
+			if len(a) != len(b) {
+				t.Fatalf("%s: call %d operand %d has %d lanes, want %d", what, i, side, len(a), len(b))
+			}
+			for j := range b {
+				if a[j] != b[j] {
+					t.Fatalf("%s: call %d operand %d lane %d = %d, want %d", what, i, side, j, a[j], b[j])
+				}
+			}
+		}
+	}
+}
+
+// TestForwardBatchSharedCallOrder pins the call sequence one engine
+// shared by a batch sees — the order a stateful engine's noise stream
+// follows — against an order built independently from the examples'
+// serial sequences, for a Dot-only engine and for a RowDotter whose rows
+// are logged as calls. The cases cover padding-truncated, full-window
+// (pad-0 and 1x1), depthwise and dense layers.
+func TestForwardBatchSharedCallOrder(t *testing.T) {
+	for _, tc := range qnetCases(t) {
+		xs := batchInputs(3, 61, tc.x.Shape...)
+		serial := make([][][2][]int, len(xs))
+		for e, x := range xs {
+			rec := &recordingEngine{}
+			tc.qn.ForwardScratch(x, rec, NewScratch())
+			serial[e] = rec.calls
+		}
+		want := sharedCallOrder(tc.qn, tc.x.Shape[1], tc.x.Shape[2], serial)
+
+		perCall := &recordingEngine{}
+		tc.qn.ForwardBatch(xs, []DotEngine{perCall}, nil)
+		assertSameCalls(t, tc.name+" Dot", perCall.calls, want)
+
+		rowed := &rowRecordingEngine{}
+		tc.qn.ForwardBatch(xs, []DotEngine{rowed}, nil)
+		if rowed.rowCalls == 0 {
+			t.Fatalf("%s: DotRows never called", tc.name)
+		}
+		assertSameCalls(t, tc.name+" DotRows", rowed.calls, want)
+	}
+}
+
+// TestForwardBatchMixedRowsMatchDot: on batches mixing sparse-path and
+// dense-path examples, the rows a zero-skipping RowDotter receives,
+// interleaved with the sparse examples' Dot calls, are exactly the
+// calls the same batch makes on a Dot-only engine.
+func TestForwardBatchMixedRowsMatchDot(t *testing.T) {
+	for _, tc := range qnetCases(t) {
+		rng := rand.New(rand.NewSource(62))
+		xs := make([]*tensor.T, 5)
+		for i := range xs {
+			sparsity := 0.0
+			if i%3 == 0 { // sparse, dense, dense, sparse, dense
+				sparsity = 0.95
+			}
+			xs[i] = sparseInput(rng, sparsity, tc.x.Shape...)
+		}
+		ref := &rowRecordingEngine{skips: true}
+		want := tc.qn.ForwardBatch(xs, []DotEngine{struct{ ZeroSkipper }{ref}}, nil)
+		rowed := &rowRecordingEngine{skips: true}
+		got := tc.qn.ForwardBatch(xs, []DotEngine{rowed}, nil)
+		for i := range want {
+			assertBitIdentical(t, got[i], want[i])
+		}
+		if rowed.rowCalls == 0 || rowed.rows == len(rowed.calls) {
+			t.Fatalf("%s: %d DotRows calls, %d of %d calls as rows: not a mixed batch",
+				tc.name, rowed.rowCalls, rowed.rows, len(rowed.calls))
+		}
+		assertSameCalls(t, tc.name, rowed.calls, ref.calls)
+	}
+}
+
+// assertBitIdentical compares bit patterns, not float values: -0 and +0
+// differ, and a NaN matches the identical NaN.
 func assertBitIdentical(t *testing.T, got, want *tensor.T) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("length %d vs %d", got.Len(), want.Len())
 	}
 	for i := range got.Data {
-		if got.Data[i] != want.Data[i] {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 			t.Fatalf("logit %d: %v != %v", i, got.Data[i], want.Data[i])
 		}
 	}

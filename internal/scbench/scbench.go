@@ -101,33 +101,26 @@ func PackedDot(b *testing.B) {
 	}
 }
 
-// PackedDotBatch times the slab API over a serving-sized micro-batch
-// sharing one weight vector (the conv inner loop's engine-facing shape);
-// ns/op is per batch, i.e. smokeBatch dots.
+// PackedDotBatch times Engine.DotRows over a serving-sized micro-batch
+// of flat operand rows sharing one weight vector (the conv inner loop's
+// engine-facing shape); ns/op is per call, i.e. smokeBatch dots.
 func PackedDotBatch(b *testing.B) {
 	e, err := sckernel.New(Config())
 	if err != nil {
 		b.Fatal(err)
 	}
 	_, dkv := operands()
-	vecs := make([][]int, smokeBatch)
+	rows := make([]int, smokeBatch*smokeLen)
 	rng := rand.New(rand.NewSource(10))
 	scale := 1 << smokeBits
-	for v := range vecs {
-		vec := make([]int, smokeLen)
-		for i := range vec {
-			vec[i] = rng.Intn(scale + 1)
-		}
-		vecs[v] = vec
+	for i := range rows {
+		rows[i] = rng.Intn(scale + 1)
 	}
-	slab := sckernel.MakeSlab(vecs...)
-	out := make([]int, slab.Len())
+	out := make([]int, smokeBatch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.DotBatch(slab, dkv, out); err != nil {
-			b.Fatal(err)
-		}
+		e.DotRows(rows, dkv, out)
 	}
 }
 

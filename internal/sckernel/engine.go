@@ -28,7 +28,7 @@ type Engine struct {
 	sigma   float64
 	maxOnes int
 
-	// packs is the DotBatch weight-pack scratch: one packed DKV per psum
+	// packs is the DotRows weight-pack scratch: one packed DKV per psum
 	// chunk, rebuilt per call, retained across calls so a pooled engine
 	// allocates nothing on the serving hot path.
 	packs []PackedDKV
@@ -159,91 +159,73 @@ func (e *Engine) Chunks(s int) int {
 	return (s + n - 1) / n
 }
 
-// Slab is a flat micro-batch of operand vectors: vector i occupies
-// Data[Off[i]:Off[i+1]]. It is the layer-shaped operand form the
-// quantized lowering already gathers (quant.Scratch's div/ds pair), so a
-// batched layer hands its whole pixel slab to the engine in one call.
-type Slab struct {
-	Data []int
-	Off  []int
-}
-
-// MakeSlab builds a Slab from discrete vectors (test and example
-// convenience; hot paths fill Data/Off directly).
-func MakeSlab(vecs ...[]int) Slab {
-	s := Slab{Off: make([]int, 1, len(vecs)+1)}
-	for _, v := range vecs {
-		s.Data = append(s.Data, v...)
-		s.Off = append(s.Off, len(s.Data))
-	}
-	return s
-}
-
-// Len returns the number of vectors in the slab.
-func (s Slab) Len() int {
-	if len(s.Off) == 0 {
-		return 0
-	}
-	return len(s.Off) - 1
-}
-
-// At returns vector i.
-func (s Slab) At(i int) []int { return s.Data[s.Off[i]:s.Off[i+1]] }
-
-// DotBatch runs one shared signed weight vector against every DIV in
-// the slab, writing the estimates to out (whose length must equal the
-// slab's). The weight vector is packed once per call — magnitudes
-// validated, signs lifted into a packed mask, one PackedDKV per psum
-// chunk — and reused across the whole slab, which is the batched-layer
+// DotRows implements quant.RowDotter: one shared signed weight vector
+// against every operand row, out[i] = Dot(rows[i*n:(i+1)*n], dkv) with
+// n = len(dkv). The weight vector is packed once per call — magnitudes
+// validated, signs lifted into lane masks, one PackedDKV per psum
+// chunk — and reused across every row, which is the weight-stationary
 // amortization: the serving plane applies one conv weight row to every
-// output pixel of a micro-batch.
+// dense example of a micro-batch.
 //
-// Call order is slab order, so the engine's ADC-noise stream advances
-// exactly as it would under sequential Dot calls — DotBatch is
-// bit-identical to that loop (pinned by the batch equivalence test) and
-// exists purely to shed the per-call weight re-validation.
-func (e *Engine) DotBatch(divs Slab, dkv []int, out []int) error {
-	nvec := divs.Len()
-	if len(out) != nvec {
-		return fmt.Errorf("sckernel: out length %d, want %d", len(out), nvec)
+// Rows run in order through the chunk seams and ADC draws of DotLarge,
+// so the engine's noise stream advances exactly as it would under
+// sequential Dot calls: DotRows is bit-identical to that loop (pinned by
+// the row equivalence test) and panics where it would.
+func (e *Engine) DotRows(rows, dkv, out []int) {
+	s := len(dkv)
+	if len(out) == 0 {
+		return // no rows, no calls: nothing to validate
 	}
+	if err := e.packDKV(dkv); err != nil {
+		// An out-of-range weight. The Dot loop panics on row 0, after
+		// drawing the noise of the chunks ahead of the bad one: replay
+		// it, so even the panic leaves the engine where Dot would.
+		for i := range out {
+			out[i] = e.Dot(rows[i*s:(i+1)*s], dkv)
+		}
+		return
+	}
+	for v := range out {
+		est, err := e.dotPacked(rows[v*s : (v+1)*s])
+		if err != nil {
+			panic(fmt.Sprintf("sckernel: packed dot failed: %v", err))
+		}
+		out[v] = est
+	}
+}
+
+// dotPacked is DotLarge's estimate for one DIV against the DKV packed in
+// e.packs (len(div) must equal the packed length): the same chunk
+// seams, the same ADC draws.
+func (e *Engine) dotPacked(div []int) (int, error) {
 	n := e.cfg.N
 	scale := 1 << uint(e.cfg.Bits)
+	est := 0
+	for c := 0; c*n < len(div); c++ {
+		pos, neg, err := e.plane.DotPacked(div[c*n:min((c+1)*n, len(div))], &e.packs[c])
+		if err != nil {
+			return 0, err
+		}
+		cest, _, err := e.convert(pos, neg, c, scale)
+		if err != nil {
+			return 0, err
+		}
+		est += cest
+	}
+	return est, nil
+}
+
+// packDKV packs dkv into e.packs, one PackedDKV per psum chunk.
+func (e *Engine) packDKV(dkv []int) error {
+	n := e.cfg.N
 	nchunks := e.Chunks(len(dkv))
 	for len(e.packs) < nchunks {
 		e.packs = append(e.packs, PackedDKV{})
 	}
 	for c := 0; c < nchunks; c++ {
-		end := (c + 1) * n
-		if end > len(dkv) {
-			end = len(dkv)
-		}
-		if err := e.plane.PackDKV(&e.packs[c], dkv[c*n:end]); err != nil {
+		if err := e.plane.PackDKV(&e.packs[c], dkv[c*n:min((c+1)*n, len(dkv))]); err != nil {
 			return err
 		}
-	}
-	for v := 0; v < nvec; v++ {
-		div := divs.At(v)
-		if len(div) != len(dkv) {
-			return fmt.Errorf("sckernel: slab vector %d length %d, want %d", v, len(div), len(dkv))
-		}
-		est := 0
-		for c := 0; c < nchunks; c++ {
-			end := (c + 1) * n
-			if end > len(div) {
-				end = len(div)
-			}
-			pos, neg, derr := e.plane.DotPacked(div[c*n:end], &e.packs[c])
-			if derr != nil {
-				return derr
-			}
-			cest, _, cerr := e.convert(pos, neg, c, scale)
-			if cerr != nil {
-				return cerr
-			}
-			est += cest
-		}
-		out[v] = est
 	}
 	return nil
 }

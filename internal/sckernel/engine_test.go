@@ -8,14 +8,15 @@ import (
 	"repro/internal/quant"
 )
 
-// TestDotBatchMatchesSequentialDot: the slab API must be bit-identical
-// to calling Dot vector by vector in slab order — same estimates, same
-// ADC RNG advancement — including across consecutive DotBatch calls on
-// one stateful engine.
-func TestDotBatchMatchesSequentialDot(t *testing.T) {
+// TestDotRowsMatchesSequentialDot: DotRows must be bit-identical to
+// calling Dot row by row in order — same estimates, same ADC RNG
+// advancement — including across consecutive DotRows calls on one
+// stateful engine, with noisy and ideal ADCs and rows whose length
+// crosses the psum chunk seams.
+func TestDotRowsMatchesSequentialDot(t *testing.T) {
 	for _, ideal := range []bool{false, true} {
 		cfg := testCfg(8, ideal)
-		batched, err := New(cfg)
+		rowed, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -23,35 +24,59 @@ func TestDotBatchMatchesSequentialDot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var _ quant.RowDotter = rowed
 		rng := rand.New(rand.NewSource(5))
 		scale := 1 << uint(cfg.Bits)
 		length := 3*cfg.N + 7 // crosses chunk seams
+		const nrows = 9
 		for round := 0; round < 3; round++ {
 			dkv := make([]int, length)
 			for i := range dkv {
 				dkv[i] = rng.Intn(2*scale+1) - scale
 			}
-			var slab Slab
-			var vecs [][]int
-			for v := 0; v < 9; v++ {
-				div := make([]int, length)
-				for i := range div {
-					div[i] = rng.Intn(scale + 1)
-				}
-				vecs = append(vecs, div)
+			rows := make([]int, nrows*length)
+			for i := range rows {
+				rows[i] = rng.Intn(scale + 1)
 			}
-			slab = MakeSlab(vecs...)
-			out := make([]int, slab.Len())
-			if err := batched.DotBatch(slab, dkv, out); err != nil {
-				t.Fatalf("round %d: DotBatch: %v", round, err)
-			}
-			for v, div := range vecs {
-				if want := serial.Dot(div, dkv); out[v] != want {
-					t.Fatalf("round %d ideal=%v vec %d: DotBatch %d != sequential Dot %d",
+			out := make([]int, nrows)
+			rowed.DotRows(rows, dkv, out)
+			for v := range out {
+				if want := serial.Dot(rows[v*length:(v+1)*length], dkv); out[v] != want {
+					t.Fatalf("round %d ideal=%v row %d: DotRows %d != sequential Dot %d",
 						round, ideal, v, out[v], want)
 				}
 			}
 		}
+	}
+}
+
+// TestDotRowsOperandContract: DotRows panics where the Dot loop would —
+// on an out-of-range weight or input — and not at all on zero rows,
+// where the loop makes no call.
+func TestDotRowsOperandContract(t *testing.T) {
+	e, err := New(testCfg(4, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := 1 << 4
+	e.DotRows(nil, []int{-scale - 1}, nil) // zero rows: no call, no panic
+	for _, tc := range []struct {
+		name      string
+		rows, dkv []int
+	}{
+		{"over-range weight", []int{1, 1}, []int{1, -scale - 1}},
+		{"over-range input in row 1", []int{1, 1, 1, scale + 1}, []int{1, 1}},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Fatalf("%s: want panic", tc.name)
+				} else if !strings.Contains(r.(string), "sckernel") {
+					t.Fatalf("%s: panic %v lacks package context", tc.name, r)
+				}
+			}()
+			e.DotRows(tc.rows, tc.dkv, make([]int, len(tc.rows)/len(tc.dkv)))
+		}()
 	}
 }
 

@@ -8,8 +8,7 @@
 // (bits, generator) pair — the Plane, built once and shared by every
 // engine — and computes the same signed dot products through fused
 // AND+popcount kernels that touch 64 stream bits per instruction, with
-// sign steering driven by a packed sign mask instead of a per-lane
-// branch.
+// sign steering driven by sign masks instead of a per-lane branch.
 //
 // The contract is bitwise pinning, the same pattern as ForwardNaive vs
 // the GEMM lowering: every kernel here must produce exactly the counts
@@ -264,14 +263,15 @@ func (p *Plane) DotCountsGeneric(div, dkv []int) (pos, neg int, err error) {
 }
 
 // PackedDKV is a weight operand vector in packed form: unsigned stream
-// magnitudes plus a packed sign mask (bit i set when lane i is
-// negative). Packing validates the magnitudes once, so kernels applying
-// the same weight vector to many DIVs — the conv inner loop the serving
-// plane lowers onto — skip the per-lane sign branch and range check on
-// every reuse.
+// magnitudes plus a per-lane sign mask (-1 when lane i is negative, 0
+// otherwise) that steers each lane's count into the matching
+// accumulator with two mask ops. Packing validates the magnitudes once,
+// so kernels applying the same weight vector to many DIVs — the conv
+// inner loop the serving plane lowers onto — skip the per-lane sign
+// extraction and weight range check on every reuse.
 type PackedDKV struct {
 	mags []int
-	sign []uint64
+	negm []int
 	n    int
 }
 
@@ -285,79 +285,58 @@ func (p *Plane) PackDKV(dst *PackedDKV, dkv []int) error {
 	dst.n = n
 	if cap(dst.mags) < n {
 		dst.mags = make([]int, n)
+		dst.negm = make([]int, n)
 	}
 	dst.mags = dst.mags[:n]
-	nw := (n + 63) / 64
-	if cap(dst.sign) < nw {
-		dst.sign = make([]uint64, nw)
-	}
-	dst.sign = dst.sign[:nw]
-	for i := range dst.sign {
-		dst.sign[i] = 0
-	}
+	dst.negm = dst.negm[:n]
 	for i, wb := range dkv {
-		if wb < 0 {
-			dst.sign[i>>6] |= 1 << (uint(i) & 63)
-			wb = -wb
-		}
-		if wb > p.L {
+		s := wb >> signShift
+		wb = (wb ^ s) - s
+		if uint(wb) > uint(p.L) {
 			return fmt.Errorf("sckernel: weight magnitude out of range at lane %d (w=%d)", i, dkv[i])
 		}
 		dst.mags[i] = wb
+		dst.negm[i] = s
 	}
 	return nil
 }
 
 // DotPacked is DotCounts against a pre-packed weight vector: sign
-// steering reads the packed mask (branch-free accumulator select) and
+// steering reads the per-lane masks (branch-free accumulator select) and
 // only the DIV side is range-checked per call.
 func (p *Plane) DotPacked(div []int, w *PackedDKV) (pos, neg int, err error) {
 	if len(div) != w.n {
 		return 0, 0, fmt.Errorf("sckernel: DIV/DKV length mismatch %d vs %d", len(div), w.n)
 	}
 	l := p.L
+	mags, negm := w.mags[:len(div)], w.negm[:len(div)]
 	if !p.unaryInput {
 		ws := p.W
 		for i, ib := range div {
 			if uint(ib) > uint(l) {
 				return 0, 0, fmt.Errorf("sckernel: input out of range at lane %d (i=%d)", i, ib)
 			}
-			wb := w.mags[i]
+			wb := mags[i]
 			iw := p.iw[ib*ws : ib*ws+ws]
 			wwRow := p.ww[wb*ws : wb*ws+ws : wb*ws+ws]
 			c := 0
 			for j, word := range iw {
 				c += bits.OnesCount64(word & wwRow[j])
 			}
-			s := int(w.sign[i>>6]>>(uint(i)&63)) & 1
-			neg += c & -s
-			pos += c & (s - 1)
+			neg += c & negm[i]
+			pos += c &^ negm[i]
 		}
 		return pos, neg, nil
 	}
-	mags := w.mags[:len(div)]
 	if p.analytic {
 		shift := uint(p.Bits)
-		// Blocked walk: one sign word covers 64 lanes; shifting it down
-		// a bit per lane turns the steering-mask derivation into two
-		// single-bit ops instead of a per-lane variable shift.
-		for blk := 0; blk < len(div); blk += 64 {
-			end := blk + 64
-			if end > len(div) {
-				end = len(div)
+		for i, ib := range div {
+			if uint(ib) > uint(l) {
+				return 0, 0, fmt.Errorf("sckernel: input out of range at lane %d (i=%d)", i, ib)
 			}
-			sw := w.sign[blk>>6]
-			for i := blk; i < end; i++ {
-				ib := div[i]
-				if uint(ib) > uint(l) {
-					return 0, 0, fmt.Errorf("sckernel: input out of range at lane %d (i=%d)", i, ib)
-				}
-				c := ib * mags[i] >> shift
-				s := -int(sw & 1)
-				sw >>= 1
-				neg += c & s
-				pos += c &^ s
-			}
+			c := ib * mags[i] >> shift
+			neg += c & negm[i]
+			pos += c &^ negm[i]
 		}
 		return pos, neg, nil
 	}
@@ -369,9 +348,8 @@ func (p *Plane) DotPacked(div []int, w *PackedDKV) (pos, neg int, err error) {
 		}
 		base := mags[i]*w1 + ib>>6
 		c := int(wpfx[base]) + bits.OnesCount64(wwp[base]&(1<<(uint(ib)&63)-1))
-		s := int(w.sign[i>>6]>>(uint(i)&63)) & 1
-		neg += c & -s
-		pos += c & (s - 1)
+		neg += c & negm[i]
+		pos += c &^ negm[i]
 	}
 	return pos, neg, nil
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/quant"
 	"repro/internal/telemetry"
@@ -158,8 +159,15 @@ func TestTraceDeterminismAcrossPools(t *testing.T) {
 		if _, err := s.SubmitBatch(context.Background(), trace); err != nil {
 			t.Fatal(err)
 		}
+		// A worker finishes each span just after delivering its result,
+		// so the last spans may land after SubmitBatch returns.
+		recs := s.Telemetry().Traces()
+		for deadline := time.Now().Add(5 * time.Second); len(recs) < len(trace) && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			recs = s.Telemetry().Traces()
+		}
 		out := make(map[uint64]spanKey)
-		for _, rec := range s.Telemetry().Traces() {
+		for _, rec := range recs {
 			var stages []string
 			for _, st := range rec.Stages {
 				stages = append(stages, st.Stage)
