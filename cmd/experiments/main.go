@@ -458,10 +458,11 @@ func energyProfile(erun *opcount.Runner, qn *quant.Network, sp float64, quick bo
 	key := opcount.JobDigest(qn.Digest(), sp, seed, n)
 	prof, err := erun.Profile(key, func() (opcount.Profile, error) {
 		rec := qn.OpRecorder()
-		s := quant.NewScratch()
+		s := quant.NewBatchScratch()
 		s.Ops = rec
+		engines := []quant.DotEngine{quant.ExactEngine{}}
 		for _, raw := range serve.SparseInputs(n, 256, sp, seed) {
-			qn.ForwardScratch(&tensor.T{Shape: []int{1, 16, 16}, Data: raw}, quant.ExactEngine{}, s)
+			qn.ForwardBatch([]*tensor.T{{Shape: []int{1, 16, 16}, Data: raw}}, engines, s)
 		}
 		rec.AddInferences(uint64(n))
 		return rec.Snapshot(), nil

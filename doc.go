@@ -112,15 +112,17 @@
 //     k-order — making outputs and gradients bit-identical to the naive
 //     loops (Conv2D.ForwardNaive/BackwardNaive, quant's ForwardNaive,
 //     kept as executable references and pinned by equivalence tests).
-//     The quantized lowering additionally preserves the engine call
-//     sequence exactly — same operand vectors, same output-channel-major
-//     Dot order — so the stateful SCONNA engine realizes the same ADC
-//     noise stream as before the rewrite.
+//     The quantized plane has one lowering, quant.(*Network).ForwardBatch
+//     (Forward is its one-example case). Per example it preserves
+//     ForwardNaive's engine call sequence exactly — same operand
+//     vectors, same output-channel-major Dot order — so a stateful
+//     SCONNA engine fed one example per call realizes the reference ADC
+//     noise stream; Evaluate and EvaluateParallel run that way.
 //
 //   - Scratch ownership: float im2col buffers are layer-local (layer
 //     instances are single-goroutine by contract); integer gather
-//     buffers live in a quant.Scratch owned one-per-engine, mirroring
-//     the engine-per-shard rule of EvaluateParallel.
+//     buffers live in a quant.BatchScratch owned one-per-engine,
+//     mirroring the engine-per-shard rule of EvaluateParallel.
 //
 //   - Data-parallel training: nn.TrainParallel partitions each
 //     minibatch into fixed nn.TrainShardSize example shards, runs each
@@ -142,7 +144,7 @@
 // Integer-quantized activations are frequently zero (ReLU outputs,
 // padded borders, naturally sparse inputs), and a zero DIV lane
 // contributes nothing to an integer dot product — so the compute plane
-// carries a sparsity-exploiting lowering next to the dense one:
+// gates a sparsity-exploiting gather inside each lowering:
 //
 //   - Compacted gather: when a layer's quantized input is sparse enough
 //     (zero fraction >= matmul.SparseThreshold), the im2col gather
@@ -168,16 +170,15 @@
 //     them unconditionally — sparsity never shifts a noise stream.
 //     Equivalence tests pin both sides: sparse == dense bitwise for
 //     every opting-in engine (across pad/stride/1x1/5x5/depthwise
-//     shapes, sparsities {0, 0.5, 0.9, 1.0}, serial, batched and
+//     shapes, sparsities {0, 0.5, 0.9, 1.0}, one-example, batched and
 //     parallel evaluation under -race), and a recording engine sees the
 //     byte-identical dense call sequence.
 //
 //   - Op/energy accounting: internal/opcount counts the work both ways
 //     — the ops a dense lowering would execute and the ops actually
 //     executed after zero skipping (multiplies, adds, reads, writes per
-//     layer, via an atomic Recorder that layers attach to
-//     quant.Scratch/BatchScratch; nil recorder = no counting on the hot
-//     path) — and prices profiles under Horowitz-parameterized energy
+//     layer, via an atomic Recorder attached to quant.BatchScratch;
+//     nil recorder = no counting on the hot path) — and prices profiles under Horowitz-parameterized energy
 //     models (the 45nm electronic baseline and a SCONNA model derived
 //     from the accel plane's power/throughput point). Profiles are pure
 //     functions of (network digest, input sparsity, generator seed,
@@ -259,9 +260,9 @@
 //     One batched pass gathers each layer's operand rows batch-wide and
 //     each weight vector once per micro-batch; a shared engine that
 //     implements quant.RowDotter then takes one DotRows call per
-//     (layer, output channel, pixel) covering every dense example
-//     (other engines get the same rows as per-row Dot calls, in the
-//     same order). A full queue rejects instead of
+//     (layer, output channel, pixel), or per run of full-window
+//     pixels, covering every dense example (other engines get the same
+//     rows as per-row Dot calls, in the same order). A full queue rejects instead of
 //     buffering (ErrOverloaded, HTTP 429 with Retry-After); requests
 //     whose context ends while queued are skipped, not computed.
 //
@@ -269,7 +270,7 @@
 //     on one pooled engine, so a stateful engine's noise stream depends
 //     on how traffic happened to batch — fast, but not replay-stable.
 //     Deterministic mode derives each request's engine from its arrival
-//     index (factory(seq)); ForwardBatch preserves the serial
+//     index (factory(seq)); ForwardBatch preserves ForwardNaive's
 //     (layer, output-channel, pixel) call order per example, so every
 //     response is a pure function of (network, input, seq) —
 //     bit-identical when a recorded trace replays, at any pool size and

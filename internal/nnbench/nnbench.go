@@ -116,15 +116,22 @@ func QuantForwardNaive(b *testing.B) {
 	}
 }
 
-// QuantForward times the lowered quantized inference (shared integer
-// patch extraction, reused scratch).
+// QuantForward times the lowered quantized inference: a one-example
+// ForwardBatch (shared integer patch extraction) over a reused scratch.
 func QuantForward(b *testing.B) {
 	qn, x := benchQuant(b)
-	s := quant.NewScratch()
+	quantForwardOne(b, qn, x, quant.ExactEngine{})
+}
+
+// quantForwardOne times one-example ForwardBatch calls of qn on x
+// through engine over a reused scratch — the way Evaluate runs them.
+func quantForwardOne(b *testing.B, qn *quant.Network, x *tensor.T, engine quant.DotEngine) {
+	s := quant.NewBatchScratch()
+	xs, engines := []*tensor.T{x}, []quant.DotEngine{engine}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		qn.ForwardScratch(x, quant.ExactEngine{}, s)
+		qn.ForwardBatch(xs, engines, s)
 	}
 }
 
@@ -197,12 +204,7 @@ func benchQuantSparse(b *testing.B, sparsity float64) (*quant.Network, *tensor.T
 func QuantForwardSparse(sparsity float64) func(*testing.B) {
 	return func(b *testing.B) {
 		qn, x := benchQuantSparse(b, sparsity)
-		s := quant.NewScratch()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			qn.ForwardScratch(x, quant.ExactEngine{}, s)
-		}
+		quantForwardOne(b, qn, x, quant.ExactEngine{})
 	}
 }
 
@@ -213,12 +215,7 @@ func QuantForwardSparse(sparsity float64) func(*testing.B) {
 func QuantForwardSparseDenseRef(sparsity float64) func(*testing.B) {
 	return func(b *testing.B) {
 		qn, x := benchQuantSparse(b, sparsity)
-		s := quant.NewScratch()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			qn.ForwardScratch(x, denseOnlyExact{}, s)
-		}
+		quantForwardOne(b, qn, x, denseOnlyExact{})
 	}
 }
 

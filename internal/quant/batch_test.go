@@ -46,15 +46,15 @@ func quantNets(t *testing.T) []*Network {
 }
 
 // A shared stateless engine: the batched forward must reproduce the
-// serial per-example forward bit-for-bit (same operand vectors, exact
+// naive reference per example bit-for-bit (same operand vectors, exact
 // integer arithmetic is order-free).
-func TestForwardBatchMatchesSerialExact(t *testing.T) {
+func TestForwardBatchMatchesNaiveExact(t *testing.T) {
 	for _, qn := range quantNets(t) {
 		xs := batchInputs(5, 7, 1, 16, 16)
 		s := NewBatchScratch()
 		got := qn.ForwardBatch(xs, []DotEngine{ExactEngine{}}, s)
 		for i, x := range xs {
-			want := qn.Forward(x, ExactEngine{})
+			want := qn.ForwardNaive(x, ExactEngine{})
 			assertBitIdentical(t, got[i], want)
 		}
 		// Scratch reuse across calls (and across batch sizes) must not
@@ -67,10 +67,11 @@ func TestForwardBatchMatchesSerialExact(t *testing.T) {
 }
 
 // Per-example stateful engines: each engine must observe exactly the
-// serial call sequence for its example, so batched logits are
-// bit-identical to running every example alone through an identically
-// seeded engine — the contract deterministic serving relies on.
-func TestForwardBatchPerExampleEnginesMatchSerial(t *testing.T) {
+// naive call sequence for its example, so batched logits are
+// bit-identical to running every example alone through ForwardNaive on
+// an identically seeded engine — the contract deterministic serving
+// relies on.
+func TestForwardBatchPerExampleEnginesMatchNaive(t *testing.T) {
 	ccfg := core.DefaultConfig()
 	ccfg.N = 32
 	ccfg.M = 1
@@ -92,7 +93,7 @@ func TestForwardBatchPerExampleEnginesMatchSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := qn.ForwardScratch(x, fresh, NewScratch())
+			want := qn.ForwardNaive(x, fresh)
 			assertBitIdentical(t, got[i], want)
 		}
 	}
@@ -105,7 +106,7 @@ func TestForwardBatchSizeOne(t *testing.T) {
 	qn := quantNets(t)[0]
 	x := batchInputs(1, 13, 1, 16, 16)
 	got := qn.ForwardBatch(x, []DotEngine{ExactEngine{}}, nil)
-	assertBitIdentical(t, got[0], qn.Forward(x[0], ExactEngine{}))
+	assertBitIdentical(t, got[0], qn.ForwardNaive(x[0], ExactEngine{}))
 }
 
 func TestForwardBatchValidates(t *testing.T) {
@@ -145,14 +146,14 @@ func (r *rowRecordingEngine) DotRows(rows, dkv, out []int) {
 }
 
 // sharedCallOrder is the call sequence a single engine shared by a
-// batch must see, built from each example's serial (ForwardScratch)
-// sequence on a dense-only engine: per conv layer and output channel,
+// batch must see, built from each example's ForwardNaive sequence on a
+// dense-only engine: per conv layer and output channel,
 // pixel-major across the examples — except a full-window non-depthwise
 // conv, which runs each example's pixels in turn — and per dense output,
 // example by example.
-func sharedCallOrder(q *Network, h, w int, serial [][][2][]int) [][2][]int {
+func sharedCallOrder(q *Network, h, w int, naive [][][2][]int) [][2][]int {
 	var out [][2][]int
-	off := 0 // start of the current layer's calls in every serial sequence
+	off := 0 // start of the current layer's calls in every naive sequence
 	for _, l := range q.layers {
 		switch {
 		case l.conv != nil:
@@ -162,14 +163,14 @@ func sharedCallOrder(q *Network, h, w int, serial [][][2][]int) [][2][]int {
 			for oc := 0; oc < c.OutC; oc++ {
 				base := off + oc*npix
 				if pos.Full() && !c.Depthwise {
-					for e := range serial {
-						out = append(out, serial[e][base:base+npix]...)
+					for e := range naive {
+						out = append(out, naive[e][base:base+npix]...)
 					}
 					continue
 				}
 				for pix := 0; pix < npix; pix++ {
-					for e := range serial {
-						out = append(out, serial[e][base+pix])
+					for e := range naive {
+						out = append(out, naive[e][base+pix])
 					}
 				}
 			}
@@ -177,8 +178,8 @@ func sharedCallOrder(q *Network, h, w int, serial [][][2][]int) [][2][]int {
 			h, w = pos.OutH, pos.OutW
 		case l.dense != nil:
 			for o := 0; o < l.dense.Out; o++ {
-				for e := range serial {
-					out = append(out, serial[e][off+o])
+				for e := range naive {
+					out = append(out, naive[e][off+o])
 				}
 			}
 			off += l.dense.Out
@@ -212,19 +213,19 @@ func assertSameCalls(t *testing.T, what string, got, want [][2][]int) {
 // TestForwardBatchSharedCallOrder pins the call sequence one engine
 // shared by a batch sees — the order a stateful engine's noise stream
 // follows — against an order built independently from the examples'
-// serial sequences, for a Dot-only engine and for a RowDotter whose rows
+// ForwardNaive sequences, for a Dot-only engine and for a RowDotter whose rows
 // are logged as calls. The cases cover padding-truncated, full-window
 // (pad-0 and 1x1), depthwise and dense layers.
 func TestForwardBatchSharedCallOrder(t *testing.T) {
 	for _, tc := range qnetCases(t) {
 		xs := batchInputs(3, 61, tc.x.Shape...)
-		serial := make([][][2][]int, len(xs))
+		naive := make([][][2][]int, len(xs))
 		for e, x := range xs {
 			rec := &recordingEngine{}
-			tc.qn.ForwardScratch(x, rec, NewScratch())
-			serial[e] = rec.calls
+			tc.qn.ForwardNaive(x, rec)
+			naive[e] = rec.calls
 		}
-		want := sharedCallOrder(tc.qn, tc.x.Shape[1], tc.x.Shape[2], serial)
+		want := sharedCallOrder(tc.qn, tc.x.Shape[1], tc.x.Shape[2], naive)
 
 		perCall := &recordingEngine{}
 		tc.qn.ForwardBatch(xs, []DotEngine{perCall}, nil)
@@ -241,7 +242,7 @@ func TestForwardBatchSharedCallOrder(t *testing.T) {
 
 // TestForwardBatchMixedRowsMatchDot: on batches mixing sparse-path and
 // dense-path examples, the rows a zero-skipping RowDotter receives,
-// interleaved with the sparse examples' Dot calls, are exactly the
+// together with the sparse examples' Dot calls, are exactly the
 // calls the same batch makes on a Dot-only engine.
 func TestForwardBatchMixedRowsMatchDot(t *testing.T) {
 	for _, tc := range qnetCases(t) {

@@ -160,10 +160,11 @@ func TestQuantLoweredSconnaBitIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkQuantForward compares the lowered quantized inference against
-// the naive reference on the shared small-CNN shape (exact integer
-// engine; the engine cost is identical on both paths, so the delta is
-// the gather lowering).
+// BenchmarkQuantForward compares the lowered quantized inference — a
+// one-example ForwardBatch over a reused scratch, as Evaluate runs it —
+// against the naive reference on the shared small-CNN shape (exact
+// integer engine; the engine cost is identical on both paths, so the
+// delta is the gather lowering).
 func BenchmarkQuantForward(b *testing.B) {
 	net := nn.BuildSmallCNN(8, 8, 1)
 	x := tensor.New(1, 16, 16)
@@ -182,10 +183,11 @@ func BenchmarkQuantForward(b *testing.B) {
 		}
 	})
 	b.Run("lowered", func(b *testing.B) {
-		s := NewScratch()
+		s := NewBatchScratch()
+		xs, engines := []*tensor.T{x}, []DotEngine{ExactEngine{}}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			qn.ForwardScratch(x, ExactEngine{}, s)
+			qn.ForwardBatch(xs, engines, s)
 		}
 	})
 }

@@ -3,8 +3,8 @@ package quant
 import "repro/internal/opcount"
 
 // OpRecorder builds an op-accounting Recorder shaped for this network:
-// one slot per layer, named by layer kind. Attach it to a Scratch or
-// BatchScratch (Ops field) to have the lowered forward paths tally the
+// one slot per layer, named by layer kind. Attach it to a BatchScratch
+// (Ops field) to have the lowered forward pass tally the
 // dense-equivalent and executed op counts of every layer; leave Ops nil
 // and the hot path pays one branch per layer.
 func (q *Network) OpRecorder() *opcount.Recorder {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/parallel"
+	"repro/internal/tensor"
 )
 
 // EngineFactory builds the DotEngine that evaluates one shard of a
@@ -42,15 +43,20 @@ func SconnaEngineFactory(cfg core.Config) EngineFactory {
 // is identical on every host and at every worker count.
 const EvalShardSize = 16
 
-// evaluateBlock pushes examples through engine serially, returning the
-// top-1 and top-k hit counts. Both the serial Evaluate and each parallel
-// shard run through this one code path. The scratch buffers are created
-// here — one per block, next to the engine they serve — so a stateful
+// evaluateBlock pushes examples through engine one at a time, returning
+// the top-1 and top-k hit counts. Both the serial Evaluate and each
+// parallel shard run through this one code path. The scratch is created
+// here — one per block, next to the engine it serves — so a stateful
 // engine and its scratch share the same single-goroutine ownership.
+// Examples go one per ForwardBatch call, never batched: a shared noisy
+// engine then realizes each example's ForwardNaive noise stream in
+// turn, so the result is independent of how the lowering batches.
 func (q *Network) evaluateBlock(examples []nn.Example, k int, engine DotEngine) (c1, ck int) {
-	scratch := NewScratch()
+	scratch := NewBatchScratch()
+	xs, engines := make([]*tensor.T, 1), []DotEngine{engine}
 	for _, ex := range examples {
-		logits := q.ForwardScratch(ex.X, engine, scratch)
+		xs[0] = ex.X
+		logits := q.ForwardBatch(xs, engines, scratch)[0]
 		if logits.ArgMax() == ex.Label {
 			c1++
 		}

@@ -15,9 +15,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/matmul"
 	"repro/internal/nn"
-	"repro/internal/opcount"
 	"repro/internal/tensor"
 )
 
@@ -25,7 +23,9 @@ import (
 // arithmetic substrate.
 type DotEngine interface {
 	// Dot estimates sum_i div[i]*dkv[i], with div unsigned and dkv signed
-	// integer values bounded by the engine's precision.
+	// integer values bounded by the engine's precision. Both operands
+	// are read-only: the lowering may pass the network's weight storage
+	// as dkv.
 	Dot(div, dkv []int) int
 	// Name labels the engine in reports.
 	Name() string
@@ -39,9 +39,10 @@ type DotEngine interface {
 // Dot(rows[i*n:(i+1)*n], dkv) with n = len(dkv), evaluated in order
 // i = 0..len(out)-1 — bit-identical to that sequential Dot loop,
 // including any hidden state the calls advance (a noisy ADC's RNG), and
-// panicking wherever the loop would. The batched lowering hands one
-// engine every row of an (output channel, pixel) across the micro-batch
-// in a single call, so the engine can validate and pack the DKV once.
+// panicking wherever the loop would. The lowering hands one engine
+// every dense example's row of an (output channel, pixel) — or of a run
+// of full-window pixels, which share the DKV — in a single call, so the
+// engine can validate and pack the DKV once.
 type RowDotter interface {
 	DotEngine
 	DotRows(rows, dkv, out []int)
@@ -245,88 +246,6 @@ func growInts(buf []int, n int) []int {
 	return buf[:n]
 }
 
-// Scratch holds the reusable integer buffers of one quantized inference
-// stream: the quantized activations, the gathered per-pixel operand
-// vectors (DIV) and the weight-gather buffer (DKV). The SCONNA engine is
-// stateful, so scratch follows the same ownership rule: one Scratch per
-// DotEngine, never shared across goroutines. evaluateBlock allocates one
-// per shard, which is what keeps EvaluateParallel -race clean.
-type Scratch struct {
-	qx  []int
-	div []int // all pixels' gathered activations, flat
-	ds  []int // per-pixel start offsets into div (npix+1)
-	dkv []int
-
-	// Column-compacted gather (sparse path): nonzero quantized
-	// activations, their kernel slots, and per-(pixel, channel) segment
-	// offsets. See gatherSparse.
-	sval []int
-	skk  []int
-	sseg []int
-
-	// Ops, when non-nil, receives per-layer op tallies (dense-equivalent
-	// and executed) from the lowered forward path. The Recorder is
-	// atomic and may be shared across scratches; nil costs one branch
-	// per layer.
-	Ops *opcount.Recorder
-}
-
-// NewScratch returns an empty scratch; buffers grow on first use.
-func NewScratch() *Scratch { return &Scratch{} }
-
-// Forward runs quantized inference on x through engine and returns float
-// logits, with a private one-shot scratch. For repeated inference (batch
-// evaluation) use ForwardScratch with a reused Scratch to amortize the
-// buffer allocations.
-func (q *Network) Forward(x *tensor.T, engine DotEngine) *tensor.T {
-	return q.ForwardScratch(x, engine, NewScratch())
-}
-
-// ForwardScratch is Forward with caller-owned scratch buffers. The
-// scratch must be private to the engine's goroutine, like the engine
-// itself.
-//
-// The engine-free layers run through inference-only kernels (poolHalf,
-// gapPool, in-place ReLU on internally produced tensors) rather than the
-// stateful nn training layers: the values are bit-identical — same
-// comparisons, same accumulation order — but nothing caches backprop
-// state and the serving hot path sheds the per-call clones and argmax
-// allocations (pinned against ForwardNaive, which keeps the nn layers,
-// by the equivalence tests).
-func (q *Network) ForwardScratch(x *tensor.T, engine DotEngine, s *Scratch) *tensor.T {
-	qmax := int(1)<<uint(q.Bits) - 1
-	owned := false // whether x is ours to mutate (not the caller's input)
-	for li, l := range q.layers {
-		switch {
-		case l.conv != nil:
-			x = l.conv.forward(x, engine, qmax, s, li)
-			owned = true
-		case l.dense != nil:
-			x = l.dense.forward(x, engine, qmax, s, li)
-			owned = true
-		case l.relu:
-			if !owned {
-				x = x.Clone()
-				owned = true
-			}
-			reluInPlace(x)
-			recordElt(s.Ops, li, reluOps(x.Len()))
-		case l.pool:
-			x = poolHalf(x)
-			owned = true
-			recordElt(s.Ops, li, poolOps(x.Len()))
-		case l.gap:
-			hw := x.Shape[1] * x.Shape[2]
-			x = gapPool(x)
-			owned = true
-			recordElt(s.Ops, li, gapOps(x.Len(), hw))
-		case l.flat:
-			x = x.Reshape(x.Len()) // aliases: ownership carries over
-		}
-	}
-	return x
-}
-
 func reluInPlace(x *tensor.T) {
 	for i, v := range x.Data {
 		if v < 0 {
@@ -411,117 +330,6 @@ func (q *Network) ForwardNaive(x *tensor.T, engine DotEngine) *tensor.T {
 	return x
 }
 
-// forward runs the lowered quantized convolution: the input is quantized
-// once, each output pixel's in-bounds activation vector (DIV) is
-// gathered once through the shared patch geometry (instead of once per
-// output channel, as the naive loops do), and the weight vectors (DKV)
-// gather through the same position lists.
-//
-// The lowering preserves the engine-facing contract exactly: operand
-// vectors hold the same values in the same order (zero-padded positions
-// compressed out, channels outermost), and Dot is called in the same
-// output-channel-major order — so a stateful engine (the SCONNA VDPC
-// advances its ADC noise stream per dot product) sees an identical call
-// sequence and produces bit-identical results (asserted by the
-// call-sequence equivalence test).
-//
-// When the engine opts in (ZeroSkipper) and the quantized input is
-// sparse enough (worthSparse), the layer instead runs the
-// column-compacted sparse path — bit-exact for such engines by the
-// ZeroSkipper contract, and pinned sparse == dense by the equivalence
-// tier. Engines that do not opt in always see the dense call sequence.
-func (c *QConv2D) forward(x *tensor.T, engine DotEngine, qmax int, s *Scratch, li int) *tensor.T {
-	h, w := x.Shape[1], x.Shape[2]
-	hw := h * w
-	pos := matmul.Positions(h, w, c.K, c.Stride, c.Pad)
-	oh, ow := pos.OutH, pos.OutW
-	npix := oh * ow
-	k2 := c.K * c.K
-	s.qx = quantizeActs(s.qx, x.Data, c.InScale, qmax)
-	out := tensor.New(c.OutC, oh, ow)
-
-	if skipsZeros(engine) && worthSparse(s.qx) {
-		gatherSparse(pos, s, c.InC, hw, k2)
-		c.forwardSparse(out.Data, engine, s, npix, k2)
-		c.recordOps(s.Ops, li, uint64(pos.NumOffs()), len(x.Data), npix, 1, s.sseg[npix*c.InC])
-		return out
-	}
-	c.recordOps(s.Ops, li, uint64(pos.NumOffs()), len(x.Data), npix, 1, -1)
-
-	if c.Depthwise {
-		// One channel per output channel: gather DIV/DKV per (oc, pixel)
-		// through the position lists (no bounds checks, weight row
-		// contiguous).
-		for oc := 0; oc < c.OutC; oc++ {
-			kbase := oc * k2
-			qc := s.qx[oc*hw : (oc+1)*hw]
-			orow := out.Data[oc*npix:]
-			for pix := 0; pix < npix; pix++ {
-				offs, kks := pos.At(pix)
-				n := len(offs)
-				s.div = growInts(s.div, n)
-				s.dkv = growInts(s.dkv, n)
-				for i, o := range offs {
-					s.div[i] = qc[o]
-					s.dkv[i] = c.W[kbase+kks[i]]
-				}
-				acc := engine.Dot(s.div, s.dkv)
-				orow[pix] = float32(acc)*c.InScale*c.WScale + c.Bias[oc]
-			}
-		}
-		return out
-	}
-
-	ksz := c.InC * k2
-	// Gather every pixel's DIV vector once, reused across all output
-	// channels — the integer im2col.
-	s.ds = growInts(s.ds, npix+1)
-	need := 0
-	for pix := 0; pix < npix; pix++ {
-		s.ds[pix] = need
-		lo, _ := pos.At(pix)
-		need += len(lo) * c.InC
-	}
-	s.ds[npix] = need
-	s.div = growInts(s.div, need)
-	for pix := 0; pix < npix; pix++ {
-		offs, _ := pos.At(pix)
-		gatherDIV(s.div[s.ds[pix]:], s.qx, offs, c.InC, hw)
-	}
-	s.dkv = growInts(s.dkv, ksz)
-	for oc := 0; oc < c.OutC; oc++ {
-		kbase := oc * ksz
-		orow := out.Data[oc*npix:]
-		if pos.Full() {
-			// No truncated windows anywhere: every pixel's DKV is the
-			// full contiguous weight row — gather it once per channel.
-			dkv := s.dkv[:ksz]
-			copy(dkv, c.W[kbase:kbase+ksz])
-			for pix := 0; pix < npix; pix++ {
-				acc := engine.Dot(s.div[s.ds[pix]:s.ds[pix+1]], dkv)
-				orow[pix] = float32(acc)*c.InScale*c.WScale + c.Bias[oc]
-			}
-			continue
-		}
-		for pix := 0; pix < npix; pix++ {
-			_, kks := pos.At(pix)
-			n := len(kks) * c.InC
-			dkv := s.dkv[:n]
-			p := 0
-			for ic := 0; ic < c.InC; ic++ {
-				wseg := c.W[kbase+ic*k2:]
-				for _, k := range kks {
-					dkv[p] = wseg[k]
-					p++
-				}
-			}
-			acc := engine.Dot(s.div[s.ds[pix]:s.ds[pix+1]], dkv)
-			orow[pix] = float32(acc)*c.InScale*c.WScale + c.Bias[oc]
-		}
-	}
-	return out
-}
-
 // gatherDIV fills dst[:inC*len(offs)] with one pixel's DIV vector over
 // quantized CHW activations qx (inC planes of hw values): channels
 // outermost, the pixel's in-bounds source offsets inner — the lowering's
@@ -581,19 +389,6 @@ func (c *QConv2D) forwardNaive(x *tensor.T, engine DotEngine, qmax int) *tensor.
 				out.Set(float32(acc)*c.InScale*c.WScale+c.Bias[oc], oc, oy, ox)
 			}
 		}
-	}
-	return out
-}
-
-func (d *QDense) forward(x *tensor.T, engine DotEngine, qmax int, s *Scratch, li int) *tensor.T {
-	d.recordOps(s.Ops, li, 1)
-	s.qx = quantizeActs(s.qx, x.Data, d.InScale, qmax)
-	out := tensor.New(d.Out)
-	s.dkv = growInts(s.dkv, d.In)
-	for o := 0; o < d.Out; o++ {
-		copy(s.dkv, d.W[o*d.In:(o+1)*d.In])
-		acc := engine.Dot(s.qx, s.dkv)
-		out.Data[o] = float32(acc)*d.InScale*d.WScale + d.Bias[o]
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package quant_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -148,12 +149,12 @@ func TestForwardBatchSharedEngineRowsMatchDot(t *testing.T) {
 	}
 }
 
-// TestForwardBatchPerExampleRowsMatchSerial: with one noisy packed
+// TestForwardBatchPerExampleRowsMatchNaive: with one noisy packed
 // engine per example, each engine takes its example's rows (through
-// DotRows wherever a run belongs to it alone) in exactly the serial
-// order, so every example's logits equal ForwardScratch on an
-// identically seeded engine — on both im2col layouts.
-func TestForwardBatchPerExampleRowsMatchSerial(t *testing.T) {
+// DotRows wherever a run belongs to it alone) in exactly the naive
+// order, so every example's logits equal ForwardNaive on an identically
+// seeded engine — on both im2col layouts.
+func TestForwardBatchPerExampleRowsMatchNaive(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Bits = 8
 	cfg.N = 16
@@ -173,9 +174,47 @@ func TestForwardBatchPerExampleRowsMatchSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[i] = qn.ForwardScratch(x, fresh, quant.NewScratch())
+			want[i] = qn.ForwardNaive(x, fresh)
 		}
 		assertLogitsBitIdentical(t, name, qn.ForwardBatch(xs, engines, nil), want)
+	}
+}
+
+// TestForwardBatchOneAtATimeMatchesNaive pins the evaluation contract:
+// one stateful engine fed consecutive one-input ForwardBatch calls over
+// a reused scratch realizes, input by input, exactly the noise stream
+// ForwardNaive draws from a fresh engine with the same seed over the
+// same sequence — for the packed kernel and the scalar core, on every
+// rowNets geometry. Evaluate and EvaluateParallel (and so -exp table5)
+// rest on it.
+func TestForwardBatchOneAtATimeMatchesNaive(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Bits = 8
+	cfg.N = 16
+	cfg.M = 1
+	cfg.ADCSeed = 29
+	builds := map[string]func() (quant.DotEngine, error){
+		"packed": func() (quant.DotEngine, error) { return sckernel.New(cfg) },
+		"scalar": func() (quant.DotEngine, error) { return quant.NewSconnaEngine(cfg) },
+	}
+	xs := rowInputs(4, 2, 33)
+	for name, qn := range rowNets(t) {
+		for ename, build := range builds {
+			eng, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := quant.NewBatchScratch()
+			for i, x := range xs {
+				got := qn.ForwardBatch([]*tensor.T{x}, []quant.DotEngine{eng}, s)
+				want := qn.ForwardNaive(x, ref)
+				assertLogitsBitIdentical(t, fmt.Sprintf("%s/%s input %d", name, ename, i), got, []*tensor.T{want})
+			}
+		}
 	}
 }
 

@@ -203,8 +203,8 @@ func validateConv(c *QConv2D, qmax int) error {
 		}
 		wc = 1
 	}
-	if want := c.OutC * wc * c.K * c.K; len(c.W) != want {
-		return fmt.Errorf("conv carries %d weights, want %d", len(c.W), want)
+	if !isProduct(len(c.W), c.OutC, wc, c.K, c.K) {
+		return fmt.Errorf("conv carries %d weights, want %dx%dx%dx%d", len(c.W), c.OutC, wc, c.K, c.K)
 	}
 	if len(c.Bias) != c.OutC {
 		return fmt.Errorf("conv carries %d biases, want %d", len(c.Bias), c.OutC)
@@ -219,8 +219,8 @@ func validateDense(d *QDense, qmax int) error {
 	if d.In < 1 || d.Out < 1 {
 		return fmt.Errorf("dense geometry %dx%d invalid", d.In, d.Out)
 	}
-	if want := d.Out * d.In; len(d.W) != want {
-		return fmt.Errorf("dense carries %d weights, want %d", len(d.W), want)
+	if !isProduct(len(d.W), d.Out, d.In) {
+		return fmt.Errorf("dense carries %d weights, want %dx%d", len(d.W), d.Out, d.In)
 	}
 	if len(d.Bias) != d.Out {
 		return fmt.Errorf("dense carries %d biases, want %d", len(d.Bias), d.Out)
@@ -229,6 +229,19 @@ func validateDense(d *QDense, qmax int) error {
 		return err
 	}
 	return validateScales(d.WScale, d.InScale)
+}
+
+// isProduct reports whether n equals the product of dims (each >= 1).
+// It divides n down instead of multiplying the dims up, so a product
+// that would overflow int — and could wrap to len(W) — never matches.
+func isProduct(n int, dims ...int) bool {
+	for _, d := range dims {
+		if n%d != 0 {
+			return false
+		}
+		n /= d
+	}
+	return n == 1
 }
 
 // validateWeightRange enforces the hardware contract |w| <= 2^B - 1

@@ -137,27 +137,48 @@ func TestArtifactSaveFileAtomicAndLoadable(t *testing.T) {
 	}
 }
 
+// mutatedArtifact saves qn, applies mutate to the decoded wire struct
+// and re-encodes it: an artifact that is well-formed gob but whatever
+// mutate makes of it.
+func mutatedArtifact(t testing.TB, qn *Network, mutate func(*artifact)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := qn.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var a artifact
+	if err := gob.NewDecoder(&buf).Decode(&a); err != nil {
+		t.Fatal(err)
+	}
+	mutate(&a)
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(a); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// overflowDense turns the last layer (the dense head) into Out=4,
+// In=2^62 with no weights: Out*In wraps to 0 == len(W).
+func overflowDense(a *artifact) {
+	l := &a.Layers[len(a.Layers)-1]
+	l.Out, l.In, l.W, l.Bias = 4, 1<<62, nil, make([]float32, 4)
+}
+
+// overflowConv turns the first conv into OutC=4, InC=1, K=2^31 with no
+// weights: OutC*InC*K*K wraps to 0 == len(W).
+func overflowConv(a *artifact) {
+	l := &a.Layers[0]
+	l.OutC, l.InC, l.K, l.W, l.Bias = 4, 1, 1<<31, nil, make([]float32, 4)
+}
+
 // Load must reject malformed artifacts with a diagnostic, never build a
 // network that would fault mid-forward.
 func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 	t.Parallel()
 	qn := artifactNet(t, 2, 6, 43)
-
 	encode := func(mutate func(*artifact)) *bytes.Buffer {
-		var buf bytes.Buffer
-		if err := qn.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		var a artifact
-		if err := gob.NewDecoder(&buf).Decode(&a); err != nil {
-			t.Fatal(err)
-		}
-		mutate(&a)
-		var out bytes.Buffer
-		if err := gob.NewEncoder(&out).Encode(a); err != nil {
-			t.Fatal(err)
-		}
-		return &out
+		return bytes.NewBuffer(mutatedArtifact(t, qn, mutate))
 	}
 
 	cases := []struct {
@@ -177,12 +198,49 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 		// artifact must die at load instead.
 		{"over-range weight", encode(func(a *artifact) { a.Layers[0].W[0] = 1 << 20 }), "magnitude range"},
 		{"under-range weight", encode(func(a *artifact) { a.Layers[0].W[1] = -(1 << 20) }), "magnitude range"},
+		// A weight count whose product of dimensions overflows int must
+		// not wrap into agreement (Forward would panic in makeslice).
+		{"dense size overflow", encode(overflowDense), "weights"},
+		{"conv size overflow", encode(overflowConv), "weights"},
 	}
 	for _, c := range cases {
 		if _, err := Load(c.body); err == nil || !strings.Contains(err.Error(), c.errHas) {
 			t.Errorf("%s: err = %v, want mention of %q", c.name, err, c.errHas)
 		}
 	}
+}
+
+// FuzzLoad feeds arbitrary bytes to Load. It must never panic, and an
+// artifact it accepts must survive Save→Load with the same Digest. The
+// seeds are saved artifactNets and the two size-overflow artifacts.
+func FuzzLoad(f *testing.F) {
+	qn := artifactNet(f, 2, 6, 43)
+	for _, seed := range []*Network{qn, artifactNet(f, 3, 8, 31)} {
+		var buf bytes.Buffer
+		if err := seed.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(mutatedArtifact(f, qn, overflowDense))
+	f.Add(mutatedArtifact(f, qn, overflowConv))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := got.Save(&buf); err != nil {
+			t.Fatalf("saving an accepted artifact: %v", err)
+		}
+		again, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("reloading a saved accepted artifact: %v", err)
+		}
+		if again.Digest() != got.Digest() {
+			t.Fatalf("digest moved across Save→Load: %v vs %v", again.Digest(), got.Digest())
+		}
+	})
 }
 
 // The digest is the registry's version ID: any value inference reads

@@ -66,7 +66,7 @@ func worthSparse(qx []int) bool {
 // ic*k2 + kk, so a DKV gather is one indexed walk of the run — no
 // per-channel segment bookkeeping on the hot (output channel, pixel)
 // path.
-func gatherSparse(pos *matmul.Pos, s *Scratch, inC, hw, k2 int) {
+func gatherSparse(pos *matmul.Pos, s *slot, inC, hw, k2 int) {
 	npix := pos.NumPix()
 	nseg := npix*inC + 1
 	s.sseg = growInts(s.sseg, nseg)
@@ -91,65 +91,22 @@ func gatherSparse(pos *matmul.Pos, s *Scratch, inC, hw, k2 int) {
 	}
 }
 
-// sparseDot runs one (output channel, pixel) compacted dot product of a
-// non-depthwise conv: the pixel's contiguous compacted DIV run against
-// the DKV gathered through the stored weight-slot index, with the call
-// elided when the run is empty (exact by the ZeroSkipper contract).
-func (c *QConv2D) sparseDot(engine DotEngine, s *Scratch, kbase, pix int) int {
-	lo, hi := s.sseg[pix*c.InC], s.sseg[(pix+1)*c.InC]
-	if lo == hi {
+// sparseDot runs one compacted dot product: the compacted DIV entries
+// of segments [lo, hi) — contiguous in s.sval — against the DKV
+// gathered through their stored weight slots from wrow, with the call
+// elided when the run is empty (exact by the ZeroSkipper contract). A
+// standard conv reduces all of a pixel's channel segments against its
+// output channel's row; a depthwise channel reduces only its own
+// segment, whose stored slot ic*k2 + kk (ic == oc) already indexes the
+// whole weight tensor.
+func sparseDot(engine DotEngine, s *slot, wrow []int, lo, hi int) int {
+	a, b := s.sseg[lo], s.sseg[hi]
+	if a == b {
 		return 0
 	}
-	n := hi - lo
-	s.dkv = growInts(s.dkv, n)
-	wrow := c.W[kbase:]
-	for i, k := range s.skk[lo:hi] {
+	s.dkv = growInts(s.dkv, b-a)
+	for i, k := range s.skk[a:b] {
 		s.dkv[i] = wrow[k]
 	}
-	return engine.Dot(s.sval[lo:hi], s.dkv[:n])
-}
-
-// sparseDotDW is sparseDot's depthwise counterpart: channel oc reduces
-// only its own compacted segment. The stored slot ic*k2 + kk with
-// ic == oc is already the absolute index into the depthwise weight
-// tensor (whose row oc starts at oc*k2), so the gather needs no base.
-func (c *QConv2D) sparseDotDW(engine DotEngine, s *Scratch, pix, oc int) int {
-	lo, hi := s.sseg[pix*c.InC+oc], s.sseg[pix*c.InC+oc+1]
-	if lo == hi {
-		return 0
-	}
-	n := hi - lo
-	s.dkv = growInts(s.dkv, n)
-	for i, k := range s.skk[lo:hi] {
-		s.dkv[i] = c.W[k]
-	}
-	return engine.Dot(s.sval[lo:hi], s.dkv[:n])
-}
-
-// forwardSparse runs the quantized convolution over the compacted
-// structure (already gathered into s by gatherSparse): per (output
-// channel, pixel) the engine sees the dense operand vectors with zero
-// DIV lanes dropped, in the dense enumeration order, and all-zero calls
-// elided — exact for any ZeroSkipper engine. The (oc, pixel) iteration
-// order matches the dense lowering.
-func (c *QConv2D) forwardSparse(out []float32, engine DotEngine, s *Scratch, npix, k2 int) {
-	if c.Depthwise {
-		for oc := 0; oc < c.OutC; oc++ {
-			orow := out[oc*npix:]
-			for pix := 0; pix < npix; pix++ {
-				acc := c.sparseDotDW(engine, s, pix, oc)
-				orow[pix] = float32(acc)*c.InScale*c.WScale + c.Bias[oc]
-			}
-		}
-		return
-	}
-	ksz := c.InC * k2
-	for oc := 0; oc < c.OutC; oc++ {
-		kbase := oc * ksz
-		orow := out[oc*npix:]
-		for pix := 0; pix < npix; pix++ {
-			acc := c.sparseDot(engine, s, kbase, pix)
-			orow[pix] = float32(acc)*c.InScale*c.WScale + c.Bias[oc]
-		}
-	}
+	return engine.Dot(s.sval[a:b], s.dkv[:b-a])
 }

@@ -62,19 +62,20 @@ func TestWorthSparseThreshold(t *testing.T) {
 
 // TestQuantSparseMatchesNaive is the sparsity equivalence tier: over the
 // odd-shape network set and input sparsities {0, 0.5, 0.9, 1.0}, the
-// lowered forward (sparse path engaged wherever the gate fires) is
-// bit-identical to the dense naive reference for a ZeroSkipper engine.
+// lowered one-example forward (sparse path engaged wherever the gate
+// fires) is bit-identical to the dense naive reference for a
+// ZeroSkipper engine.
 func TestQuantSparseMatchesNaive(t *testing.T) {
 	t.Parallel()
 	for _, tc := range qnetCases(t) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(71))
-			s := NewScratch() // reused across sparsities: stale compaction must not leak
+			s := NewBatchScratch() // reused across sparsities: stale compaction must not leak
 			for _, sp := range quantTierSparsities {
 				x := sparseInput(rng, sp, tc.x.Shape...)
 				want := tc.qn.ForwardNaive(x, ExactEngine{})
-				got := tc.qn.ForwardScratch(x, ExactEngine{}, s)
+				got := tc.qn.ForwardBatch([]*tensor.T{x}, []DotEngine{ExactEngine{}}, s)[0]
 				if !got.SameShape(want) {
 					t.Fatalf("sp=%.1f: shape %v vs %v", sp, got.Shape, want.Shape)
 				}
@@ -97,9 +98,9 @@ func TestQuantSparsePathEngages(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for _, sp := range quantTierSparsities {
 		rec := tc.qn.OpRecorder()
-		s := NewScratch()
+		s := NewBatchScratch()
 		s.Ops = rec
-		tc.qn.ForwardScratch(sparseInput(rng, sp, tc.x.Shape...), ExactEngine{}, s)
+		tc.qn.ForwardBatch([]*tensor.T{sparseInput(rng, sp, tc.x.Shape...)}, []DotEngine{ExactEngine{}}, s)
 		l0 := rec.Snapshot().Layers[0]
 		if l0.Name != "conv" {
 			t.Fatalf("layer 0 is %q, want conv", l0.Name)
@@ -153,7 +154,7 @@ func TestQuantSparseDenseCallOrderPreserved(t *testing.T) {
 
 // TestQuantSparseBatchMixedEngines runs micro-batches whose engines mix
 // sparse-capable and dense-only substrates over the sparsity tier: every
-// example must be bit-identical to its own serial ForwardScratch pass.
+// example must be bit-identical to its own ForwardNaive pass.
 func TestQuantSparseBatchMixedEngines(t *testing.T) {
 	t.Parallel()
 	for _, tc := range qnetCases(t) {
@@ -169,10 +170,10 @@ func TestQuantSparseBatchMixedEngines(t *testing.T) {
 				engines := []DotEngine{ExactEngine{}, denseOnlyEngine{}, ExactEngine{}, denseOnlyEngine{}}
 				got := tc.qn.ForwardBatch(xs, engines, bs)
 				for e := range xs {
-					want := tc.qn.ForwardScratch(xs[e], engines[e], NewScratch())
+					want := tc.qn.ForwardNaive(xs[e], engines[e])
 					for i := range want.Data {
 						if math.Float32bits(got[e].Data[i]) != math.Float32bits(want.Data[i]) {
-							t.Fatalf("sp=%.1f example %d logit[%d]: batch %v serial %v",
+							t.Fatalf("sp=%.1f example %d logit[%d]: batch %v naive %v",
 								sp, e, i, got[e].Data[i], want.Data[i])
 						}
 					}
@@ -211,8 +212,9 @@ func TestQuantSparseEvaluateParallelWorkerInvariance(t *testing.T) {
 }
 
 // TestQuantSparseOpRecorderBatchConsistency: running the same examples
-// through the serial and batched paths must tally identical op counts
-// (the batch aggregation is just a regrouping of the per-example sums).
+// one per ForwardBatch call and as one batch must tally identical op
+// counts (the batch aggregation is just a regrouping of the per-example
+// sums).
 func TestQuantSparseOpRecorderBatchConsistency(t *testing.T) {
 	t.Parallel()
 	tc := qnetCases(t)[1] // depthwise-pointwise: every conv kind
@@ -222,10 +224,10 @@ func TestQuantSparseOpRecorderBatchConsistency(t *testing.T) {
 		xs[i] = sparseInput(rng, 0.9, tc.x.Shape...)
 	}
 	recSerial := tc.qn.OpRecorder()
+	s := NewBatchScratch()
+	s.Ops = recSerial
 	for _, x := range xs {
-		s := NewScratch()
-		s.Ops = recSerial
-		tc.qn.ForwardScratch(x, ExactEngine{}, s)
+		tc.qn.ForwardBatch([]*tensor.T{x}, []DotEngine{ExactEngine{}}, s)
 	}
 	recBatch := tc.qn.OpRecorder()
 	bs := NewBatchScratch()

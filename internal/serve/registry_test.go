@@ -269,7 +269,7 @@ func TestRegistryDeterministicReplayPerModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[i] = qn.ForwardScratch(x, eng, quant.NewScratch())
+			out[i] = qn.ForwardNaive(x, eng)
 		}
 		return out
 	}

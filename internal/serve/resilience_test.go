@@ -265,7 +265,7 @@ func TestChaosReplayByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := fmt.Sprintf("%x", qn.ForwardScratch(x, eng, quant.NewScratch()).Data)
+		want := fmt.Sprintf("%x", qn.ForwardNaive(x, eng).Data)
 		if sigsA[i] != want {
 			t.Fatalf("seq %d (fault %v): chaos run diverged from fault-free reference", i, chaos.FaultFor(uint64(i)))
 		}
@@ -385,7 +385,7 @@ func TestCancellationPoolSizesBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := qn.ForwardScratch(trace[i], eng, quant.NewScratch())
+			want := qn.ForwardNaive(trace[i], eng)
 			for j := range want.Data {
 				if o.res.Logits[j] != want.Data[j] {
 					t.Fatalf("pool %d: survivor seq %d logit %d: %v != %v (must be bit-identical)",

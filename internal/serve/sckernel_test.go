@@ -21,14 +21,14 @@ func TestPackedEngineDeterministicReplay(t *testing.T) {
 	scalar := quant.SconnaEngineFactory(cfg)
 	trace := testInputs(10, 61)
 
-	// Serial reference: one fresh scalar engine per request seq.
+	// Naive reference: one fresh scalar engine per request seq.
 	want := make([][]float32, len(trace))
 	for i, x := range trace {
 		eng, err := scalar(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = qn.ForwardScratch(x, eng, quant.NewScratch()).Data
+		want[i] = qn.ForwardNaive(x, eng).Data
 	}
 
 	for _, pool := range []int{1, 2, 4} {

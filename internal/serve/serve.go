@@ -503,13 +503,15 @@ func (s *Server) runWorker() {
 // runBatch skips requests whose context already ended (expired or
 // cancelled work is dropped before any engine is claimed — it must
 // never spend pool time), checks an engine out, runs the survivors
-// through one batched forward and resolves their futures.
+// through one batched forward and resolves their futures. Every
+// counter, histogram, trace and the engine slot are settled before a
+// request's future resolves, so a caller that holds its answer sees
+// itself in /metrics and /stats.
 func (s *Server) runBatch(batch []*request) {
 	exec := make([]*request, 0, len(batch))
 	for _, r := range batch {
 		if r.ctx != nil && r.ctx.Err() != nil {
 			err := ctxErr(r.ctx)
-			r.done <- outcome{idx: r.idx, err: err}
 			if errors.Is(err, ErrDeadline) {
 				s.expired.Add(1)
 				r.sp.Finish("expired")
@@ -517,6 +519,7 @@ func (s *Server) runBatch(batch []*request) {
 				s.cancelled.Add(1)
 				r.sp.Finish("cancelled")
 			}
+			r.done <- outcome{idx: r.idx, err: err}
 			continue
 		}
 		exec = append(exec, r)
@@ -536,9 +539,9 @@ func (s *Server) runBatch(batch []*request) {
 		for _, r := range exec {
 			e, err := s.factory(int(r.seq))
 			if err != nil {
-				r.done <- outcome{idx: r.idx, err: fmt.Errorf("serve: building engine for seq %d: %w", r.seq, err)}
 				s.failed.Add(1)
 				r.sp.Finish("failed")
+				r.done <- outcome{idx: r.idx, err: fmt.Errorf("serve: building engine for seq %d: %w", r.seq, err)}
 				continue
 			}
 			kept = append(kept, r)
@@ -559,7 +562,6 @@ func (s *Server) runBatch(batch []*request) {
 	if err != nil { // unreachable: Background never ends
 		panic(err)
 	}
-	defer s.pool.Put(eng)
 	if s.tel != nil {
 		for _, r := range exec {
 			r.sp.Mark(telemetry.StageCheckout)
@@ -578,6 +580,8 @@ func (s *Server) runBatch(batch []*request) {
 	// and safe to share across all pooled scratches.
 	eng.Scratch.Ops = s.ops
 	outs := s.qn.ForwardBatch(xs, engines, eng.Scratch)
+	engineID := eng.ID
+	s.pool.Put(eng)
 	if s.tel != nil {
 		for _, r := range exec {
 			r.sp.Mark(telemetry.StageForward)
@@ -587,13 +591,14 @@ func (s *Server) runBatch(batch []*request) {
 		s.ops.AddInferences(uint64(len(exec)))
 	}
 	now := time.Now()
+	results := make([]outcome, len(exec))
 	for i, r := range exec {
 		logits := outs[i]
 		res := Result{
 			Seq:    r.seq,
 			Class:  logits.ArgMax(),
 			Logits: logits.Data,
-			Engine: eng.ID,
+			Engine: engineID,
 		}
 		if s.opts.Deterministic {
 			// The pool slot is a scheduling artifact; the seq-derived
@@ -603,7 +608,7 @@ func (s *Server) runBatch(batch []*request) {
 		if res.Class < len(s.opts.ClassNames) {
 			res.ClassName = s.opts.ClassNames[res.Class]
 		}
-		r.done <- outcome{idx: r.idx, res: res}
+		results[i] = outcome{idx: r.idx, res: res}
 		s.lat.Observe(now.Sub(r.enq))
 		r.sp.Mark(telemetry.StageRespond)
 		r.sp.Finish("ok")
@@ -614,6 +619,9 @@ func (s *Server) runBatch(batch []*request) {
 	s.batchMu.Lock()
 	s.batchHist[len(exec)-1]++
 	s.batchMu.Unlock()
+	for i, r := range exec {
+		r.done <- results[i]
+	}
 }
 
 // rateWindow is how often the drain-rate window rolls over; long

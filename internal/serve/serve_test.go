@@ -314,14 +314,14 @@ func TestDeterministicReplayBitIdentical(t *testing.T) {
 	factory := quant.SconnaEngineFactory(testCoreConfig())
 	trace := testInputs(12, 43)
 
-	// Serial reference, straight through the compute plane.
+	// Naive reference, straight through the compute plane.
 	want := make([]*tensor.T, len(trace))
 	for i, x := range trace {
 		eng, err := factory(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = qn.ForwardScratch(x, eng, quant.NewScratch())
+		want[i] = qn.ForwardNaive(x, eng)
 	}
 
 	configs := []Options{
