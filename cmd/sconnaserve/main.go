@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	sconnaserve [-addr :8080] [-engine sconna|sconna-packed|exact] [-deterministic]
+//	sconnaserve [-addr :8080] [-engine sconna|sconna-packed|exact]
 //	            [-op-stats] [-pool N] [-max-batch N] [-max-wait D] [-queue N]
 //	            [-request-timeout D] [-max-inflight N] [-breaker]
 //	            [-model name=artifact.qnn ...]
@@ -50,9 +50,10 @@
 // model gracefully: admissions stop, queued batches finish, the process
 // exits 0.
 //
-// -deterministic pins each request's engine to its per-model arrival
-// index, so a recorded trace replays bit-identically at any pool size,
-// independently for every registered model.
+// Every response is a pure function of (model, input): the engines key
+// their ADC noise by the operands, so a recorded trace replays
+// bit-identically at any pool size and any batching, for every
+// registered model and every -engine.
 //
 // -op-stats turns on the op/energy accounting plane: every model's
 // stats gain an "ops" section with dense-vs-executed arithmetic and
@@ -292,8 +293,6 @@ var engineNames = []string{"sconna", "sconna-packed", "exact"}
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	engineName := flag.String("engine", "sconna", "dot-product engine: "+strings.Join(engineNames, "|"))
-	deterministic := flag.Bool("deterministic", false,
-		"pin request->engine assignment by per-model arrival index (replayed traces are bit-identical)")
 	opStats := flag.Bool("op-stats", false,
 		"count per-model arithmetic/memory ops and energy, reported under /stats (off = zero cost)")
 	pool := flag.Int("pool", 0, "per-model engine-pool size (0 = all cores)")
@@ -335,7 +334,7 @@ func main() {
 
 	bits := flag.Int("bits", 8, "operand precision for the in-process built model")
 	vdpeSize := flag.Int("vdpe-size", 64, "functional core VDPE size N")
-	adcSeed := flag.Int64("adc-seed", 2023, "base ADC noise seed")
+	adcSeed := flag.Int64("adc-seed", 2023, "ADC noise seed (keys every conversion's error with its operands)")
 
 	telemetryOn := flag.Bool("telemetry", true,
 		"per-request tracing and per-stage latency histograms (GET /metrics, GET /debug/traces); off = the zero-cost Nop path")
@@ -379,7 +378,6 @@ func main() {
 		MaxWait:        *maxWait,
 		QueueDepth:     *queue,
 		PoolSize:       *pool,
-		Deterministic:  *deterministic,
 		OpAccounting:   *opStats,
 		InputShape:     []int{1, 16, 16},
 		ClassNames:     dataset.ClassNames[:],
@@ -478,8 +476,8 @@ func main() {
 	}
 	hs := &http.Server{Handler: handler}
 	fmt.Fprintf(os.Stderr,
-		"sconnaserve: serving %d model(s) %v on %s (engine=%s max-batch=%d deterministic=%v)\n",
-		reg.Len(), reg.Names(), ln.Addr(), *engineName, *maxBatch, *deterministic)
+		"sconnaserve: serving %d model(s) %v on %s (engine=%s max-batch=%d)\n",
+		reg.Len(), reg.Names(), ln.Addr(), *engineName, *maxBatch)
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

@@ -36,14 +36,15 @@
 //     Fig. 7(a) frontier) simply fan independent jobs across the pool and
 //     collect results in job order.
 //
-//   - Functional plane: the SCONNA engine is stateful — its core.VDPC
-//     draws ADC noise from a per-engine RNG — so it must never be shared
-//     across goroutines. quant.(*Network).EvaluateParallel instead
-//     partitions examples into fixed-size shards (quant.EvalShardSize, a
-//     property of the evaluation, not of the machine) and builds one
-//     engine per shard through a quant.EngineFactory whose seed derives
-//     from the shard index. The shard partition and seeds depend only on
-//     the inputs, and hit counts merge by integer summation, so any
+//   - Functional plane: every SCONNA engine computes a pure function of
+//     its operands — the ADC error of a row is keyed by (ADCSeed, a
+//     digest of the DIV and DKV) through core.ADC — but holds scratch,
+//     so it is never shared across goroutines.
+//     quant.(*Network).EvaluateParallel partitions examples into
+//     fixed-size shards (quant.EvalShardSize, a property of the
+//     evaluation, not of the machine) and builds one engine per shard
+//     through a quant.EngineFactory. Results do not depend on the
+//     partition, and hit counts merge by integer summation, so any
 //     schedule reproduces the workers=1 walk exactly. accuracy.Run
 //     parallelizes the same way one level up: each proxy's
 //     train/quantize/evaluate pipeline is deterministic in its spec seed.
@@ -113,11 +114,10 @@
 //     loops (Conv2D.ForwardNaive/BackwardNaive, quant's ForwardNaive,
 //     kept as executable references and pinned by equivalence tests).
 //     The quantized plane has one lowering, quant.(*Network).ForwardBatch
-//     (Forward is its one-example case). Per example it preserves
-//     ForwardNaive's engine call sequence exactly — same operand
-//     vectors, same output-channel-major Dot order — so a stateful
-//     SCONNA engine fed one example per call realizes the reference ADC
-//     noise stream; Evaluate and EvaluateParallel run that way.
+//     (Forward is its one-example case). Per example it hands the engine
+//     exactly ForwardNaive's operand vectors, and every engine is a
+//     pure function of its operands, so an example's logits equal the
+//     reference on any engine, whatever batch it is served in.
 //
 //   - Scratch ownership: float im2col buffers are layer-local (layer
 //     instances are single-goroutine by contract); integer gather
@@ -158,16 +158,14 @@
 //
 //   - ZeroSkipper determinism contract: engines opt into the sparse
 //     path by implementing quant.ZeroSkipper with SkipsZeros() == true,
-//     which asserts three clauses — (1) Dot is a pure function of the
+//     which asserts two clauses — (1) Dot is a pure function of the
 //     nonzero-DIV lanes, (2) an all-zero call returns 0 and may be
-//     elided, (3) Dot consumes no hidden state (no RNG advance).
-//     quant.ExactEngine satisfies all three trivially; the packed
+//     elided. quant.ExactEngine satisfies both trivially; the packed
 //     sckernel tier satisfies them exactly when its ADC is ideal
 //     (lane-local floor arithmetic, seam-independent ideal conversion,
 //     capacity check monotone in lanes) and opts in only then. Noisy
-//     engines draw ADC noise per Dot call, so the lowering preserves
-//     the dense per-(layer, output-channel, pixel) call sequence for
-//     them unconditionally — sparsity never shifts a noise stream.
+//     engines key their ADC error by every lane, zeros included, so the
+//     lowering hands them the dense operand vectors unconditionally.
 //     Equivalence tests pin both sides: sparse == dense bitwise for
 //     every opting-in engine (across pad/stride/1x1/5x5/depthwise
 //     shapes, sparsities {0, 0.5, 0.9, 1.0}, one-example, batched and
@@ -212,8 +210,8 @@
 //     bitwise-pinned scalar reference, the same pattern as
 //     ForwardNaive/GEMM. The packed engine reproduces the scalar
 //     chunked psum reduction exactly — same chunk seams as
-//     core.VDPC.DotLarge, same VDPE round-robin, same ADC noise draw
-//     order from the same seeds — so Dot results are bit-identical, not
+//     core.VDPC.DotLarge, the same keyed core.ADC conversion — so Dot
+//     results are bit-identical, not
 //     just statistically close (pinned by an exhaustive operand sweep
 //     over every (input, weight, sign) at each precision, by
 //     chunk-seam-length cases, and by cross-engine property tests on
@@ -223,9 +221,10 @@
 //     and the weight-stationary quant.RowDotter boundary: DotRows packs
 //     a weight vector once (PackDKV per psum chunk) and runs it against
 //     every operand row of a micro-batch, bit-identical to the per-row
-//     Dot loop, ADC draws included. sckernel.EngineFactory drops into
-//     serve pools (sconnaserve -engine sconna-packed) with the same
-//     shard-seed derivation as the scalar factory, so deterministic
+//     Dot loop in any row order, ADC error included; the lowering
+//     passes each row's operand digest (core.VecKey) once per layer.
+//     sckernel.EngineFactory drops into serve pools (sconnaserve
+//     -engine sconna-packed) configured like the scalar factory, so
 //     replay stays bit-identical at any pool size.
 //
 //   - Fuzz tier: internal/bitstream carries native Go fuzz targets
@@ -243,12 +242,11 @@
 // internal/serve (fronted by cmd/sconnaserve) turns the one-shot
 // quantized evaluation machinery into a long-lived inference service:
 //
-//   - Engine pool lifecycle: a Pool owns N factory-built engines
-//     (engine i = factory(i), so a pool realizes the same noise streams
-//     on every start), each paired with a private quant.BatchScratch.
-//     Engines are checked out per micro-batch and returned after it —
-//     the serving-time form of the engine-per-shard ownership rule: a
-//     stateful SCONNA engine and its scratch belong to exactly one
+//   - Engine pool lifecycle: a Pool owns N engines built once at
+//     startup (engine i = factory(i)), each paired with a private
+//     quant.BatchScratch. Engines are checked out per micro-batch and
+//     returned after it — the serving-time form of the engine-per-shard
+//     ownership rule: an engine and its scratch belong to exactly one
 //     goroutine between Get and Put.
 //
 //   - Batching semantics: classify requests enter a bounded queue
@@ -262,20 +260,18 @@
 //     implements quant.RowDotter then takes one DotRows call per
 //     (layer, output channel, pixel), or per run of full-window
 //     pixels, covering every dense example (other engines get the same
-//     rows as per-row Dot calls, in the same order). A full queue rejects instead of
+//     rows as per-row Dot calls). A full queue rejects instead of
 //     buffering (ErrOverloaded, HTTP 429 with Retry-After); requests
 //     whose context ends while queued are skipped, not computed.
 //
-//   - Determinism contract: in throughput mode (default) a batch runs
-//     on one pooled engine, so a stateful engine's noise stream depends
-//     on how traffic happened to batch — fast, but not replay-stable.
-//     Deterministic mode derives each request's engine from its arrival
-//     index (factory(seq)); ForwardBatch preserves ForwardNaive's
-//     (layer, output-channel, pixel) call order per example, so every
-//     response is a pure function of (network, input, seq) —
-//     bit-identical when a recorded trace replays, at any pool size and
-//     any batching (pinned by replay tests at both the Result and the
-//     HTTP-byte level).
+//   - Determinism contract: there is one serving mode. Engines are pure
+//     functions of their operands and ForwardBatch hands each example
+//     its ForwardNaive operands, so every response is a pure function
+//     of (network, input) — bit-identical when a recorded trace
+//     replays, at any pool size, pool slot and batching (pinned by
+//     replay tests at both the Result and the HTTP-byte level). New
+//     and Register walk the network over the served input shape and
+//     refuse a mis-chained artifact with an error.
 //
 //   - Operations: POST /v1/classify accepts single, batched, base64 and
 //     raw binary (octet-stream float32) bodies; GET /healthz flips to
@@ -319,10 +315,9 @@
 //   - Lifecycle: Register and Unregister are safe under live traffic —
 //     an unregistered model drains gracefully (admitted work finishes,
 //     then its route 404s) while the rest serve uninterrupted; DrainAll
-//     stops everything. The deterministic-replay contract holds
-//     independently per model: each request's engine derives from its
-//     model's own arrival seq, so interleaved multi-model traffic
-//     replays bit-identically at any pool size.
+//     stops everything. The replay contract holds independently per
+//     model, so interleaved multi-model traffic replays bit-identically
+//     at any pool size.
 //
 // # Resilience plane
 //
@@ -330,21 +325,18 @@
 // determinism contract — every chaos decision is a pure function of a
 // seed, so failures found under fault injection replay byte-for-byte:
 //
-//   - Fault injection: ChaosEngineFactory wraps any engine factory with
-//     a seeded schedule (splitmix64 over the engine seq) of build
-//     errors, latency spikes and wrong-but-flagged dot products;
-//     FaultFor recovers the schedule from (seed, seq) alone, so a
-//     harness can separate injected corruption from honest answers
-//     without trusting the server. Middleware injects flagged HTTP 500s
-//     and stalls the same way (X-Chaos-Injected marks them), with an
-//     optional fault budget for two-phase soak runs that must recover.
+//   - Fault injection: Middleware injects flagged HTTP 500s and stalls
+//     on a seeded schedule (splitmix64 over the arrival index;
+//     X-Chaos-Injected marks them), with an optional fault budget for
+//     two-phase soak runs that must recover. Faults live at the HTTP
+//     edge only: engines are built once per pool slot, so no fault can
+//     make a response depend on which slot served it.
 //
 //   - Deadlines: each model applies a DefaultTimeout to requests that
 //     arrive without one; expiry propagates through the queue and the
 //     batcher, so an expired request is dropped before an engine is
 //     checked out (HTTP 504 via ErrDeadline, distinct from a caller
-//     cancel's 499), and survivors stay bit-identical in deterministic
-//     mode because seqs are assigned at admission.
+//     cancel's 499), and survivors stay bit-identical.
 //
 //   - Retry/backoff: RetryClient retries 429s and 5xx with exponential
 //     backoff and deterministic jitter, honoring Retry-After verbatim;
@@ -362,10 +354,10 @@
 //     still HTTP 200 — the box serves what it can) or draining, and
 //     /stats exposes per-model breaker state, trips and in-flight.
 //
-//     The serve package's chaos soak test drives a breaker to trip and
+//     The serve package's soak test stalls a model's engines so its
+//     requests answer deadline 504s, drives the breaker to trip and
 //     recovery (the fault-phase status sequence must replay
-//     identically), and the chaos replay test pins that faults land
-//     exactly where the seed says; CI runs both under -race.
+//     identically), and CI runs it under -race.
 //
 // # Telemetry plane
 //
@@ -399,10 +391,10 @@
 //   - Cost discipline: telemetry off (the default) is a nil plane —
 //     no time.Now calls, no allocation, and HTTP replay bytes are
 //     pinned identical to the untraced server; telemetry on preserves
-//     deterministic replay bit-for-bit (IDs and engines derive from
-//     seqs, which tracing never perturbs); its cost is the benchmark's
+//     replay bit-for-bit (trace IDs derive from seqs, which tracing
+//     never perturbs); its cost is the benchmark's
 //     bench.trace_overhead metric. net/http/pprof mounts behind -pprof
-//     (telemetry.WithPprof); the chaos soak test scrapes /metrics and a
+//     (telemetry.WithPprof); the breaker soak test scrapes /metrics and a
 //     heap profile mid-fault to prove the surface stays well-formed
 //     with the breaker open.
 //

@@ -2,9 +2,8 @@
 // up in-process. One trained CNN is quantized at two precisions and
 // registered as two named, versioned models behind one HTTP surface;
 // traffic routes by name (plus the legacy default alias), a model is
-// hot-swapped out under traffic, the deterministic mode's per-model
-// replays stay bit-identical across pool sizes, a seeded chaos run
-// trips a circuit breaker and recovers through a retrying client, and
+// hot-swapped out under traffic, per-model replays stay bit-identical
+// across pool sizes, and
 // the telemetry plane traces requests stage by stage, exporting
 // Prometheus text on /metrics and a Chrome trace on /debug/traces.
 // Finally the fleet plane boots a two-replica ring behind a router,
@@ -24,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -165,16 +163,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 5. Deterministic mode, per model: each request's engine derives
-	// from its per-model arrival index, so the same trace replays
-	// bit-identically at any pool size — independently for every model.
+	// 5. Replay: every response is a pure function of (model, input) —
+	// the SC engines key their ADC noise by the operands — so the same
+	// trace replays bit-identically at any pool size and any batching.
 	trace := make([]*tensor.T, 3)
 	for i := range trace {
 		trace[i] = examples[120+i].X
 	}
 	replay := func(pool int) []serve.Result {
 		o := opts
-		o.Deterministic = true
 		o.PoolSize = pool
 		o.QueueDepth = 32
 		dreg := serve.NewRegistry()
@@ -193,99 +190,22 @@ func main() {
 		return results
 	}
 	a, b := replay(1), replay(4)
-	fmt.Println("\ndeterministic replay (pool=1 vs pool=4):")
+	fmt.Println("\nreplay (pool=1 vs pool=4):")
 	for i := range a {
 		identical := len(a[i].Logits) == len(b[i].Logits)
 		for j := range a[i].Logits {
 			identical = identical && a[i].Logits[j] == b[i].Logits[j]
 		}
-		fmt.Printf("  seq %d: class=%q engine=%d bit-identical=%v\n",
-			a[i].Seq, a[i].ClassName, a[i].Engine, identical)
+		fmt.Printf("  seq %d: class=%q bit-identical=%v\n", a[i].Seq, a[i].ClassName, identical)
 	}
 
-	// 6. Chaos run: the resilience plane under seeded fault injection.
-	// The model's engine factory is wrapped in a deterministic fault
-	// schedule (half of all engine builds fail — the same half at the
-	// same seed, with the startup pool exempt via SkipSeqs), and the
-	// model carries a circuit breaker. Driving traffic trips the breaker
-	// (health degrades, callers get 503 + Retry-After); stopping the
-	// faults lets the half-open probes close it again. A retrying client
-	// rides the whole episode out — the same episode the serve package's
-	// chaos soak test pins under -race.
-	co := opts
-	co.Deterministic = true
-	co.PoolSize = 2
-	co.QueueDepth = 32
-	co.DefaultTimeout = 5 * time.Second
-	co.Breaker = &resilience.BreakerOptions{
-		Window: 8, FailureThreshold: 0.5, MinSamples: 4,
-		Cooldown: 20 * time.Millisecond, HalfOpenProbes: 2,
-	}
-	chaotic := resilience.ChaosEngineFactory(factory, resilience.ChaosOptions{
-		Seed: 7, ErrRate: 0.5, SkipSeqs: co.PoolSize,
-	})
-	var faulting atomic.Bool
-	faulting.Store(true)
-	gated := func(seq int) (quant.DotEngine, error) {
-		if faulting.Load() {
-			return chaotic(seq)
-		}
-		return factory(seq)
-	}
-	creg := serve.NewRegistry()
-	if _, err := creg.Register("hi8", hi, gated, co); err != nil {
-		log.Fatal(err)
-	}
-	defer creg.DrainAll(ctx)
-	chs, cbase, err := serve.ListenLocal(creg.Handler())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer chs.Close()
-	single, _ := json.Marshal(map[string]any{"input": trace[0].Data})
-	retrier := resilience.RetryClient{
-		HTTP: http.DefaultClient,
-		Opts: resilience.RetryOptions{MaxAttempts: 8, Seed: 7, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
-	}
-	posts := 0
-	for creg.Health() != "degraded" {
-		resp, err := http.Post(cbase+"/v1/models/hi8/classify", "application/json", bytes.NewReader(single))
-		if err != nil {
-			log.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		posts++
-	}
-	st := creg.Stats()
-	fmt.Printf("\nchaos run: breaker %s after %d faulted requests (health %q)\n",
-		st.Models[0].Breaker.State, posts, st.Health)
-	faulting.Store(false)
-	resp2, err := retrier.Post(cbase+"/v1/models/hi8/classify", "application/json", single)
-	if err != nil {
-		log.Fatal(err)
-	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	for creg.Health() != "ok" {
-		time.Sleep(2 * time.Millisecond)
-		r, err := http.Post(cbase+"/v1/models/hi8/classify", "application/json", bytes.NewReader(single))
-		if err != nil {
-			log.Fatal(err)
-		}
-		io.Copy(io.Discard, r.Body)
-		r.Body.Close()
-	}
-	fmt.Printf("chaos run: faults stopped, retrying client answered %d after %d retries, breaker closed (health %q)\n",
-		resp2.StatusCode, retrier.Retries(), creg.Health())
-
-	// 7. Telemetry: arm the tracing plane and scrape it. Each request
+	// 6. Telemetry: arm the tracing plane and scrape it. Each request
 	// gets a replay-stable span (trace ID derived from its arrival seq,
 	// joining any client-stamped X-Trace-Id), per-stage latencies land
 	// in log2 histograms, and the surface exports as Prometheus text on
 	// GET /metrics plus a Chrome trace-event dump on GET /debug/traces.
 	// A nil ServeOptions.Telemetry (the default) keeps the zero-cost
-	// path that preserves deterministic-replay byte-identity.
+	// path.
 	to := opts
 	to.Telemetry = &telemetry.Options{TraceRing: 64}
 	treg := serve.NewRegistry()
@@ -352,7 +272,7 @@ func main() {
 	fmt.Printf("telemetry: GET /debug/traces dumped %d stage slices across %d events (load in chrome://tracing or Perfetto)\n",
 		spans, len(chrome.TraceEvents))
 
-	// 8. Fleet: the same registry, distributed. Two replicas each serve
+	// 7. Fleet: the same registry, distributed. Two replicas each serve
 	// hi8 (in production each boots from the artifact store via
 	// `sconnaserve -pull name=digest`); a router discovers their model
 	// sets, places names on its bounded-load rendezvous ring, and
@@ -394,7 +314,7 @@ func main() {
 	fmt.Printf("\nfleet: routing %v across a 2-replica ring, hi8 assigned to %s\n",
 		rt.Models(), rt.Assignments()["hi8"])
 	servedBy := func() string {
-		resp, err := http.Post(rbase+"/v1/models/hi8/classify", "application/json", bytes.NewReader(single))
+		resp, err := http.Post(rbase+"/v1/models/hi8/classify", "application/json", bytes.NewReader(payload))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -226,9 +226,9 @@ func (p *Prepared) CoreConfig(opts Options) core.Config {
 // Evaluate runs the exact-integer and SCONNA evaluations of the prepared
 // model and returns its Table V row. Both evaluations fan example shards
 // across opts.Workers goroutines with one dot-product engine per shard
-// (the SCONNA engine's VDPC is stateful and must not be shared); the
-// shard partition and per-shard ADC seeds are fixed, so the row is
-// bit-identical at every worker count.
+// (an engine holds scratch and must not be shared); every dot is a pure
+// function of its operands, so the row is bit-identical at every worker
+// count.
 func (p *Prepared) Evaluate(opts Options) (Row, error) {
 	row := Row{Model: p.Spec.Name, Params: p.Net.NumParams()}
 	e1, e5, err := p.QN.EvaluateParallel(p.Test, 5, quant.SharedEngine(quant.ExactEngine{}), opts.Workers)

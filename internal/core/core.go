@@ -12,8 +12,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 
 	"repro/internal/bitstream"
 	"repro/internal/pca"
@@ -44,7 +42,8 @@ type Config struct {
 	// error is relative to the result, which is how the paper applies it
 	// in its accuracy study).
 	ADCMAPEPct float64
-	// ADCSeed seeds the deterministic ADC noise streams.
+	// ADCSeed keys the ADC noise: with the operands it fixes every
+	// conversion's error (see ADC).
 	ADCSeed int64
 	// IdealADC disables ADC noise (exact ones counts pass through); used
 	// to isolate stochastic-stream error from converter error in the
@@ -119,11 +118,10 @@ type SignedResult struct {
 // VDPE is one vector-dot-product element: a cascade of N OSMs, a filter
 // MRR bank steering by weight sign, and a pair of PCAs (Fig. 4(a)).
 type VDPE struct {
-	cfg      Config
-	osms     []*OSM
-	adcSigma float64 // relative noise sigma realizing ADCMAPEPct
-	rng      *rand.Rand
-	maxOnes  int
+	cfg     Config
+	osms    []*OSM
+	adc     *ADC
+	maxOnes int
 }
 
 // NewVDPE builds a VDPE for cfg. It validates that N fits the DWDM grid
@@ -144,14 +142,7 @@ func NewVDPE(cfg Config) (*VDPE, error) {
 	// The PCA capacity requirement is defined by this VDPE: it must
 	// accumulate up to N*2^B ones (Sec. V-C).
 	v.maxOnes = cfg.N * (1 << uint(cfg.Bits))
-	// Realize the converter's MAPE as zero-mean Gaussian relative noise:
-	// E|eps| = sigma*sqrt(2/pi) = MAPE/100.
-	mape := cfg.ADCMAPEPct
-	if mape == 0 && !cfg.IdealADC {
-		mape = 1.3
-	}
-	v.adcSigma = mape / 100 * math.Sqrt(math.Pi/2)
-	v.rng = rand.New(rand.NewSource(cfg.ADCSeed))
+	v.adc = NewADC(cfg)
 	for i := 0; i < cfg.N; i++ {
 		gate := photonics.NewOAG(cfg.FWHMNM)
 		lambda := cfg.BaseWavelengthNM - float64(i)*cfg.ChannelSpacingNM
@@ -171,16 +162,41 @@ func (v *VDPE) OSMs() []*OSM { return v.osms }
 // Dot computes the signed VDP of a decomposed input vector (DIV, unsigned
 // values in [0,2^B]) against a decomposed kernel vector (DKV, signed values
 // in [-2^B,2^B]), both at most N points, through the OSM cascade and the
-// PCA pair. Shorter vectors leave the remaining OSM lanes dark.
+// PCA pair. Shorter vectors leave the remaining OSM lanes dark. The ADC
+// error is keyed by the operands (see ADC), so equal operands always
+// convert equally.
 func (v *VDPE) Dot(div []int, dkv []int) (SignedResult, error) {
+	return v.dot(div, dkv, nil)
+}
+
+// dot is Dot with the lanes in faults pinned (nil: none): a stuck-dark
+// lane contributes zero ones, a stuck-lit lane a full stream of ones to
+// its sign's accumulator.
+func (v *VDPE) dot(div, dkv []int, faults map[int]FaultKind) (SignedResult, error) {
+	pos, neg, err := v.counts(div, dkv, faults)
+	if err != nil {
+		return SignedResult{}, err
+	}
+	v.adc.StartRow(div, dkv)
+	scale := 1 << uint(v.cfg.Bits)
+	return SignedResult{
+		Est:     v.adc.Convert(pos, neg, scale),
+		Exact:   (pos - neg) * scale,
+		PosOnes: pos,
+		NegOnes: neg,
+	}, nil
+}
+
+// counts runs the OSM cascade and the sign-steered PCA pair — the
+// pre-ADC half of dot — with the lanes in faults pinned.
+func (v *VDPE) counts(div, dkv []int, faults map[int]FaultKind) (posOnes, negOnes int, err error) {
 	if len(div) != len(dkv) {
-		return SignedResult{}, fmt.Errorf("core: DIV/DKV length mismatch %d vs %d", len(div), len(dkv))
+		return 0, 0, fmt.Errorf("core: DIV/DKV length mismatch %d vs %d", len(div), len(dkv))
 	}
 	if len(div) > v.cfg.N {
-		return SignedResult{}, fmt.Errorf("core: vector size %d exceeds VDPE size %d", len(div), v.cfg.N)
+		return 0, 0, fmt.Errorf("core: vector size %d exceeds VDPE size %d", len(div), v.cfg.N)
 	}
 	scale := 1 << uint(v.cfg.Bits)
-	var posOnes, negOnes int
 	for i := range div {
 		wb := dkv[i]
 		neg := wb < 0
@@ -188,10 +204,17 @@ func (v *VDPE) Dot(div []int, dkv []int) (SignedResult, error) {
 			wb = -wb
 		}
 		if div[i] < 0 || div[i] > scale || wb > scale {
-			return SignedResult{}, fmt.Errorf("core: operand out of range at lane %d (i=%d w=%d)", i, div[i], dkv[i])
+			return 0, 0, fmt.Errorf("core: operand out of range at lane %d (i=%d w=%d)", i, div[i], dkv[i])
 		}
 		// The filter MRR steers this lane's product stream by sign bit.
-		c := v.osms[i].Multiply(div[i], wb)
+		var c int
+		switch kind, faulty := faults[i]; {
+		case faulty && kind == StuckDark:
+		case faulty && kind == StuckLit:
+			c = scale
+		default:
+			c = v.osms[i].Multiply(div[i], wb)
+		}
 		if neg {
 			negOnes += c
 		} else {
@@ -199,20 +222,9 @@ func (v *VDPE) Dot(div []int, dkv []int) (SignedResult, error) {
 		}
 	}
 	if posOnes > v.maxOnes || negOnes > v.maxOnes {
-		return SignedResult{}, fmt.Errorf("core: accumulation %d/%d exceeds PCA capacity %d", posOnes, negOnes, v.maxOnes)
+		return 0, 0, fmt.Errorf("core: accumulation %d/%d exceeds PCA capacity %d", posOnes, negOnes, v.maxOnes)
 	}
-	res := SignedResult{PosOnes: posOnes, NegOnes: negOnes}
-	res.Exact = (posOnes - negOnes) * scale
-	if v.cfg.IdealADC {
-		res.Est = res.Exact
-		return res, nil
-	}
-	// Each PCA's count passes through its own converter with the
-	// calibrated relative error (Sec. V-C: 1.3% MAPE on computed results).
-	ep := float64(posOnes) * (1 + v.rng.NormFloat64()*v.adcSigma)
-	en := float64(negOnes) * (1 + v.rng.NormFloat64()*v.adcSigma)
-	res.Est = int(math.Round(ep-en)) * scale
-	return res, nil
+	return posOnes, negOnes, nil
 }
 
 // VDPC is a vector-dot-product core: M VDPEs fed from one DWDM laser
@@ -220,6 +232,7 @@ func (v *VDPE) Dot(div []int, dkv []int) (SignedResult, error) {
 type VDPC struct {
 	cfg   Config
 	vdpes []*VDPE
+	adc   *ADC
 }
 
 // NewVDPC builds a VDPC with M VDPEs.
@@ -227,11 +240,9 @@ func NewVDPC(cfg Config) (*VDPC, error) {
 	if cfg.M < 1 {
 		return nil, fmt.Errorf("core: VDPC size M=%d must be positive", cfg.M)
 	}
-	c := &VDPC{cfg: cfg}
+	c := &VDPC{cfg: cfg, adc: NewADC(cfg)}
 	for i := 0; i < cfg.M; i++ {
-		vcfg := cfg
-		vcfg.ADCSeed = cfg.ADCSeed + int64(2*i)
-		v, err := NewVDPE(vcfg)
+		v, err := NewVDPE(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -267,23 +278,24 @@ func (c *VDPC) DotBatch(divs, dkvs [][]int) ([]SignedResult, error) {
 // vectors into ceil(S/N) DIV/DKV chunks (Sec. II-B), computing each chunk
 // on a VDPE, and reducing the partial sums digitally — the psum reduction
 // the paper's Section III-A analyses. It returns the reduced estimate, the
-// exact pre-ADC value, and the chunk count C.
+// exact pre-ADC value, and the chunk count C. The chunks convert in order
+// on one noise row keyed by the full operands, so the result does not
+// depend on M or on which VDPE ran a chunk.
 func (c *VDPC) DotLarge(input []int, kernel []int) (est, exact, chunks int, err error) {
 	if len(input) != len(kernel) {
 		return 0, 0, 0, fmt.Errorf("core: vector length mismatch %d vs %d", len(input), len(kernel))
 	}
+	c.adc.StartRow(input, kernel)
 	n := c.cfg.N
+	scale := 1 << uint(c.cfg.Bits)
 	for off := 0; off < len(input); off += n {
-		end := off + n
-		if end > len(input) {
-			end = len(input)
-		}
-		r, derr := c.vdpes[chunks%len(c.vdpes)].Dot(input[off:end], kernel[off:end])
+		end := min(off+n, len(input))
+		pos, neg, derr := c.vdpes[chunks%len(c.vdpes)].counts(input[off:end], kernel[off:end], nil)
 		if derr != nil {
 			return 0, 0, 0, derr
 		}
-		est += r.Est
-		exact += r.Exact
+		est += c.adc.Convert(pos, neg, scale)
+		exact += (pos - neg) * scale
 		chunks++
 	}
 	return est, exact, chunks, nil

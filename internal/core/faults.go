@@ -1,8 +1,6 @@
 package core
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // Fault injection: Section II-D cites high error tolerance as a core
 // advantage of stochastic computing. This file lets tests and experiments
@@ -60,49 +58,11 @@ func (v *VDPE) InjectFaults(faults ...Fault) (*FaultyVDPE, error) {
 
 // Dot computes the signed VDP with the injected faults applied: a
 // stuck-dark lane contributes zero ones; a stuck-lit lane contributes a
-// full stream of ones to its sign's accumulator.
+// full stream of ones to its sign's accumulator. The counts convert
+// through the VDPE's own keyed ADC, so with no faults Dot equals the
+// VDPE's.
 func (f *FaultyVDPE) Dot(div []int, dkv []int) (SignedResult, error) {
-	if len(div) != len(dkv) {
-		return SignedResult{}, fmt.Errorf("core: DIV/DKV length mismatch %d vs %d", len(div), len(dkv))
-	}
-	if len(div) > f.v.cfg.N {
-		return SignedResult{}, fmt.Errorf("core: vector size %d exceeds VDPE size %d", len(div), f.v.cfg.N)
-	}
-	scale := 1 << uint(f.v.cfg.Bits)
-	var posOnes, negOnes int
-	for i := range div {
-		wb := dkv[i]
-		neg := wb < 0
-		if neg {
-			wb = -wb
-		}
-		if div[i] < 0 || div[i] > scale || wb > scale {
-			return SignedResult{}, fmt.Errorf("core: operand out of range at lane %d", i)
-		}
-		var c int
-		switch kind, faulty := f.faults[i]; {
-		case faulty && kind == StuckDark:
-			c = 0
-		case faulty && kind == StuckLit:
-			c = scale
-		default:
-			c = f.v.osms[i].Multiply(div[i], wb)
-		}
-		if neg {
-			negOnes += c
-		} else {
-			posOnes += c
-		}
-	}
-	res := SignedResult{PosOnes: posOnes, NegOnes: negOnes}
-	res.Exact = (posOnes - negOnes) * scale
-	res.Est = res.Exact
-	if !f.v.cfg.IdealADC {
-		ep := float64(posOnes) * (1 + f.v.rng.NormFloat64()*f.v.adcSigma)
-		en := float64(negOnes) * (1 + f.v.rng.NormFloat64()*f.v.adcSigma)
-		res.Est = int(ep-en) * scale
-	}
-	return res, nil
+	return f.v.dot(div, dkv, f.faults)
 }
 
 // WorstCaseLaneError returns the maximum error (in integer product units)

@@ -32,29 +32,20 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/digest"
 	"repro/internal/parallel"
 )
 
-// mix64 is the splitmix64 finalizer — the same fixed, well-diffusing
-// hash the sparse-input generator, the telemetry trace IDs and the
-// chaos schedules are built on. Routing reuses it so model→replica
-// assignment is a documented pure function, not an accident of a map
-// iteration or a library version.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// hash64 folds a string through mix64 byte by byte. Deterministic
+// hash64 folds a string through digest.Mix64 (splitmix64) byte by
+// byte, so model→replica assignment is a documented pure function, not
+// an accident of a map iteration or a library version. Deterministic
 // across processes and releases by construction (no seed, no
 // map-iteration dependence), which is what lets two routers with the
 // same member set route identically with no coordination.
 func hash64(s string) uint64 {
 	h := uint64(len(s))
 	for i := 0; i < len(s); i++ {
-		h = mix64(h ^ uint64(s[i]))
+		h = digest.Mix64(h ^ uint64(s[i]))
 	}
 	return h
 }

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"sort"
+
+	"repro/internal/digest"
 )
 
 // Ring is a consistent-hash view of a replica member set. Assignment
@@ -50,7 +52,7 @@ func (r *Ring) Len() int { return len(r.members) }
 // through hash64 before mixing so structurally different pairs ("ab","c"
 // vs "a","bc") can never collide by concatenation.
 func score(model, member string) uint64 {
-	return mix64(hash64(model) ^ mix64(hash64(member)))
+	return digest.Mix64(hash64(model) ^ digest.Mix64(hash64(member)))
 }
 
 // Candidates returns the members in descending preference order for the

@@ -8,7 +8,7 @@
 // by index, results are collected in index order, and errors aggregate in
 // index order — so the outcome of a parallel run depends only on the work
 // function, never on worker count or goroutine scheduling. Callers that
-// hold per-worker state (e.g. a stateful core.VDPC) key that state off the
+// hold per-worker state (e.g. an engine's scratch) key that state off the
 // shard index, not the goroutine, which is what makes parallel evaluation
 // bit-identical to the serial path.
 package parallel
@@ -107,7 +107,7 @@ func (s Span) Len() int { return s.Hi - s.Lo }
 
 // Spans shards n items into contiguous spans of at most size items. The
 // partition depends only on (n, size) — never on worker count — which is
-// what lets per-span state (RNG streams, accumulator cores) reproduce the
+// what lets per-span state (seeded streams, accumulator cores) reproduce the
 // serial result exactly under any parallelism.
 func Spans(n, size int) []Span {
 	if n <= 0 {

@@ -3,6 +3,7 @@ package quant
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/matmul"
 	"repro/internal/opcount"
 	"repro/internal/tensor"
@@ -15,15 +16,16 @@ import (
 // instead of once per example, and the dense examples' DIV rows sit side
 // by side so one engine call covers them all.
 //
-// A stateful engine (a noisy ADC) and its scratch share one owner: one
-// BatchScratch per goroutine, never shared. The serving plane pairs one
-// with each pooled engine; EvaluateParallel keeps one per shard.
+// A BatchScratch belongs to one goroutine at a time, like the engine it
+// serves. The serving plane pairs one with each pooled engine;
+// EvaluateParallel keeps one per shard.
 type BatchScratch struct {
 	per   []slot
 	dkv   []int
-	rows  []int // batch-wide integer im2col (DIV rows) of the current layer
-	ds    []int // per-pixel row starts of a pixel-major im2col (npix+1)
-	acc   []int // engine results of the current dotRows calls
+	rows  []int    // batch-wide integer im2col (DIV rows) of the current layer
+	keys  []uint64 // the rows' core.VecKey digests, for keyed-noise engines
+	ds    []int    // per-pixel row starts of a pixel-major im2col (npix+1)
+	acc   []int    // engine results of the current dotRows calls
 	xs    []*tensor.T
 	dense []int // examples on the dense path in the current layer
 
@@ -67,37 +69,33 @@ func (q *Network) Forward(x *tensor.T, engine DotEngine) *tensor.T {
 }
 
 // ForwardBatch runs quantized inference over a micro-batch of examples,
-// which must all share one input shape. It returns one fresh logits
-// tensor per example. It is the package's one lowering; ForwardNaive is
-// its independent reference.
+// which must all share one input shape, on one engine (engines must hold
+// exactly one). It returns one fresh logits tensor per example. It is
+// the package's one lowering; ForwardNaive is its independent reference.
 //
-// engines selects the dot-product substrate: a single engine serves the
-// whole batch (throughput serving — a stateful engine then realizes one
-// noise stream across the interleaved batch, deterministic in the batch
-// composition but not equal to serving the examples one by one), or one
-// engine per example (len(engines) == len(xs), deterministic serving).
-// Each example's engine-facing calls are ForwardNaive's for that example
-// — same operand vectors, same (layer, output channel, pixel) order — so
-// with per-example engines, and for any one-example batch, the logits
-// are bit-identical to ForwardNaive on an identically seeded engine
-// (pinned by the equivalence tests). Consecutive one-example calls on
-// one engine therefore replay the naive per-example stream, which is
-// what Evaluate and EvaluateParallel rely on.
+// Every engine computes each dot as a pure function of its operands (a
+// noisy ADC keys its error by them), and each example's operand vectors
+// are ForwardNaive's for that example. So an example's logits are
+// bit-identical to ForwardNaive on the same engine configuration,
+// whatever else shares its batch and wherever it sits in it (pinned by
+// the equivalence and batch-composition tests).
 //
 // One batched pass gathers each layer's weight vectors (DKV) once per
-// micro-batch instead of once per example and, on a shared engine that
+// micro-batch instead of once per example and, on an engine that
 // implements RowDotter, hands each DKV to the engine once with every
 // dense example's operand row for it — the weight-stationary
-// amortization the serving plane's micro-batcher exploits. The engine-
-// free layers run through inference-only kernels (poolHalf, gapPool,
-// in-place ReLU on internally produced tensors) that are bit-identical
-// to the nn training layers ForwardNaive keeps.
+// amortization the serving plane's micro-batcher exploits. For a
+// keyed-noise engine each row's digest is computed once per layer and
+// reused for every DKV the row meets. The engine-free layers run through
+// inference-only kernels (poolHalf, gapPool, in-place ReLU on internally
+// produced tensors) that are bit-identical to the nn training layers
+// ForwardNaive keeps.
 func (q *Network) ForwardBatch(xs []*tensor.T, engines []DotEngine, s *BatchScratch) []*tensor.T {
 	if len(xs) == 0 {
 		return nil
 	}
-	if len(engines) != 1 && len(engines) != len(xs) {
-		panic(fmt.Sprintf("quant: ForwardBatch needs 1 or %d engines, got %d", len(xs), len(engines)))
+	if len(engines) != 1 {
+		panic(fmt.Sprintf("quant: ForwardBatch needs exactly 1 engine, got %d", len(engines)))
 	}
 	for _, x := range xs[1:] {
 		if !sameShape(x.Shape, xs[0].Shape) {
@@ -107,7 +105,7 @@ func (q *Network) ForwardBatch(xs []*tensor.T, engines []DotEngine, s *BatchScra
 	if s == nil {
 		s = NewBatchScratch()
 	}
-	engs := newBatchEngines(engines)
+	d := newDotter(engines[0])
 	qmax := int(1)<<uint(q.Bits) - 1
 	per := s.slots(len(xs))
 	if cap(s.xs) < len(xs) {
@@ -119,10 +117,10 @@ func (q *Network) ForwardBatch(xs []*tensor.T, engines []DotEngine, s *BatchScra
 	for li, l := range q.layers {
 		switch {
 		case l.conv != nil:
-			l.conv.forwardBatch(cur, engs, qmax, per, s, li)
+			l.conv.forwardBatch(cur, d, qmax, per, s, li)
 			owned = true
 		case l.dense != nil:
-			l.dense.forwardBatch(cur, engs, qmax, s, li)
+			l.dense.forwardBatch(cur, d, qmax, s, li)
 			owned = true
 		case l.relu:
 			for e, x := range cur {
@@ -173,51 +171,64 @@ func sameShape(a, b []int) bool {
 	return true
 }
 
-// batchEngines is ForwardBatch's engine list — one engine shared by the
-// whole batch, or one per example — with the shared engine's RowDotter
-// form resolved once per batch.
-type batchEngines struct {
-	list []DotEngine
-	rd   RowDotter // list[0] when it serves the whole batch and is a RowDotter
+// dotter is ForwardBatch's engine with its capabilities resolved once
+// per batch: its RowDotter form, and whether its noise is keyed by
+// operand digests (a RowDotter that does not skip zeros), in which case
+// the lowering supplies each row's digest.
+type dotter struct {
+	eng   DotEngine
+	rd    RowDotter
+	skips bool
+	keyed bool
 }
 
-func newBatchEngines(list []DotEngine) batchEngines {
-	b := batchEngines{list: list}
-	if len(list) == 1 {
-		b.rd, _ = list[0].(RowDotter)
+func newDotter(eng DotEngine) dotter {
+	d := dotter{eng: eng, skips: skipsZeros(eng)}
+	d.rd, _ = eng.(RowDotter)
+	d.keyed = d.rd != nil && !d.skips
+	return d
+}
+
+// dotRows sets out[i] = Dot(rows[i*n:(i+1)*n], dkv) with n = len(dkv):
+// one DotRows call on a RowDotter, otherwise one Dot call per row. keys
+// holds the rows' digests for a keyed engine and is nil otherwise.
+func (d dotter) dotRows(rows, dkv []int, keys []uint64, out []int) {
+	if d.rd != nil {
+		d.rd.DotRows(rows, dkv, keys, out)
+		return
 	}
-	return b
-}
-
-// at returns the engine serving example e.
-func (b batchEngines) at(e int) DotEngine {
-	if len(b.list) == 1 {
-		return b.list[0]
-	}
-	return b.list[e]
-}
-
-// dotRows sets out[i] = Dot(rows[i*n:(i+1)*n], dkv) with n = len(dkv),
-// in row order, where the rows cycle through the examples ex: row i
-// belongs to example ex[i%len(ex)]. Two or more rows on a shared
-// RowDotter go in one DotRows call, which the RowDotter contract makes
-// indistinguishable from the Dot loop; otherwise each row is one Dot
-// call on its example's engine.
-func (b batchEngines) dotRows(ex, rows, dkv, out []int) {
 	n := len(dkv)
-	if len(b.list) > 1 {
-		for i := range out {
-			out[i] = b.list[ex[i%len(ex)]].Dot(rows[i*n:(i+1)*n], dkv)
-		}
-		return
-	}
-	if b.rd != nil && len(out) > 1 {
-		b.rd.DotRows(rows, dkv, out)
-		return
-	}
 	for i := range out {
-		out[i] = b.list[0].Dot(rows[i*n:(i+1)*n], dkv)
+		out[i] = d.eng.Dot(rows[i*n:(i+1)*n], dkv)
 	}
+}
+
+// keyBuf returns a length-n row-digest buffer from the scratch for a
+// keyed engine, and nil for any other: it never reads digests.
+func (d dotter) keyBuf(bs *BatchScratch, n int) []uint64 {
+	if !d.keyed {
+		return nil
+	}
+	if cap(bs.keys) < n {
+		bs.keys = make([]uint64, n)
+	}
+	return bs.keys[:n]
+}
+
+// rowKeys fills keys[i] with the digest of the i-th n-lane row of rows
+// (nothing for nil keys).
+func rowKeys(keys []uint64, rows []int, n int) {
+	for i := range keys {
+		keys[i] = core.VecKey(rows[i*n : (i+1)*n])
+	}
+}
+
+// span is keys[lo:hi], or nil for an engine that takes no digests.
+func span(keys []uint64, lo, hi int) []uint64 {
+	if keys == nil {
+		return nil
+	}
+	return keys[lo:hi]
 }
 
 // forwardBatch runs the lowered quantized convolution over a batch. Each
@@ -227,21 +238,18 @@ func (b batchEngines) dotRows(ex, rows, dkv, out []int) {
 // weight vector (DKV) is gathered once per batch through the same
 // position lists — a full window's DKV is its weight row, gathered not
 // at all. The engine boundary is weight-stationary: a DKV goes to the
-// engine with every dense example's DIV row for it, while for each
-// example the engine-facing calls stay exactly ForwardNaive's — same
-// operand vectors (zero-padded positions compressed out, channels
-// outermost), (output channel, pixel) lexicographic order — which keeps
-// per-example engines bit-identical to the reference and a shared
-// stateful engine bit-identical to per-call Dot.
+// engine with every dense example's DIV row for it. Each example's
+// operand vectors stay exactly ForwardNaive's — zero-padded positions
+// compressed out, channels outermost — and the calls keep its (output
+// channel, pixel) order.
 //
-// Sparsity gating is per example: an example whose engine opts in
-// (ZeroSkipper) and whose quantized input clears worthSparse runs the
-// compacted path — bit-exact for such engines by the ZeroSkipper
-// contract — with its own (shorter) operand vectors, example by example
-// ahead of the dense group. Its engine is stateless (clause 3) or its
-// own, so moving its calls past other examples' shifts no noise stream.
-// Engines that do not opt in always see the dense call sequence.
-func (c *QConv2D) forwardBatch(xs []*tensor.T, engs batchEngines, qmax int, per []slot, bs *BatchScratch, li int) {
+// Sparsity gating is per example: on an engine that opts in
+// (ZeroSkipper), an example whose quantized input clears worthSparse
+// runs the compacted path — bit-exact by the ZeroSkipper contract —
+// with its own (shorter) operand vectors, example by example ahead of
+// the dense group. Engines that do not opt in always see the dense
+// operand vectors.
+func (c *QConv2D) forwardBatch(xs []*tensor.T, d dotter, qmax int, per []slot, bs *BatchScratch, li int) {
 	h, w := xs[0].Shape[1], xs[0].Shape[2]
 	hw := h * w
 	nin := len(xs[0].Data)
@@ -259,14 +267,14 @@ func (c *QConv2D) forwardBatch(xs []*tensor.T, engs batchEngines, qmax int, per 
 		s := &per[e]
 		s.qx = quantizeActs(s.qx, x.Data, c.InScale, qmax)
 		xs[e] = tensor.New(c.OutC, pos.OutH, pos.OutW) // the input is spent once quantized
-		if !skipsZeros(engs.at(e)) || !worthSparse(s.qx) {
+		if !d.skips || !worthSparse(s.qx) {
 			bs.dense = append(bs.dense, e)
 			continue
 		}
 		nSparse++
 		gatherSparse(pos, s, c.InC, hw, k2)
 		nnzSparse += s.sseg[npix*c.InC]
-		eng, out := engs.at(e), xs[e].Data
+		out := xs[e].Data
 		// Segments pix*InC + [seg, seg+nseg) reduce against wrow.
 		seg, nseg := 0, c.InC
 		for oc := 0; oc < c.OutC; oc++ {
@@ -277,28 +285,30 @@ func (c *QConv2D) forwardBatch(xs []*tensor.T, engs batchEngines, qmax int, per 
 			orow := out[oc*npix : (oc+1)*npix]
 			for pix := range orow {
 				lo := pix*c.InC + seg
-				acc := sparseDot(eng, s, wrow, lo, lo+nseg)
+				acc := sparseDot(d.eng, s, wrow, lo, lo+nseg)
 				orow[pix] = float32(acc)*c.InScale*c.WScale + c.Bias[oc]
 			}
 		}
 	}
 	dense := bs.dense
+	nd := len(dense)
 	if bs.Ops != nil {
-		if len(dense) > 0 {
-			c.recordOps(bs.Ops, li, uint64(pos.NumOffs()), nin, npix, len(dense), -1)
+		if nd > 0 {
+			c.recordOps(bs.Ops, li, uint64(pos.NumOffs()), nin, npix, nd, -1)
 		}
 		if nSparse > 0 {
 			c.recordOps(bs.Ops, li, uint64(pos.NumOffs()), nin, npix, nSparse, nnzSparse)
 		}
 	}
-	if len(dense) == 0 {
+	if nd == 0 {
 		return
 	}
-	bs.acc = growInts(bs.acc, len(dense)*npix)
+	bs.acc = growInts(bs.acc, nd*npix)
 
 	if c.Depthwise {
 		// DKV depends only on (oc, pixel): gather it and the dense
 		// examples' single-channel DIV rows once per (oc, pixel).
+		keys := d.keyBuf(bs, nd)
 		for oc := 0; oc < c.OutC; oc++ {
 			wrow := c.W[oc*k2 : (oc+1)*k2]
 			for pix := 0; pix < npix; pix++ {
@@ -308,11 +318,12 @@ func (c *QConv2D) forwardBatch(xs []*tensor.T, engs batchEngines, qmax int, per 
 				if n < k2 {
 					dkv = gatherDKV(bs, wrow, kks, 1, k2)
 				}
-				bs.rows = growInts(bs.rows, len(dense)*n)
+				bs.rows = growInts(bs.rows, nd*n)
 				for i, e := range dense {
 					gatherDIV(bs.rows[i*n:], per[e].qx[oc*hw:], offs, 1, hw)
 				}
-				engs.dotRows(dense, bs.rows[:len(dense)*n], dkv, bs.acc[:len(dense)])
+				rowKeys(keys, bs.rows, n)
+				d.dotRows(bs.rows[:nd*n], dkv, keys, bs.acc[:nd])
 				c.store(xs, dense, bs.acc, oc, pix, pix+1)
 			}
 		}
@@ -323,20 +334,23 @@ func (c *QConv2D) forwardBatch(xs []*tensor.T, engs batchEngines, qmax int, per 
 	// geometry lays it out example-major, [example][pixel][ksz], so each
 	// example's pixel rows are contiguous; a padding-truncated one lays
 	// it out pixel-major, [pixel][example][lanes], so each pixel's rows
-	// across the batch are contiguous, starting at bs.ds[pix].
+	// across the batch are contiguous, starting at bs.ds[pix]. Row digests
+	// follow the rows: keys[i*npix+pix] example-major, keys[pix*nd+i]
+	// pixel-major.
 	full := pos.Full()
-	need := len(dense) * npix * ksz
+	need := nd * npix * ksz
 	if !full {
 		bs.ds = growInts(bs.ds, npix+1)
 		need = 0
 		for pix := 0; pix < npix; pix++ {
 			bs.ds[pix] = need
 			offs, _ := pos.At(pix)
-			need += len(dense) * len(offs) * c.InC
+			need += nd * len(offs) * c.InC
 		}
 		bs.ds[npix] = need
 	}
 	bs.rows = growInts(bs.rows, need)
+	keys := d.keyBuf(bs, nd*npix)
 	for pix := 0; pix < npix; pix++ {
 		offs, _ := pos.At(pix)
 		p, stride := pix*ksz, npix*ksz
@@ -347,16 +361,22 @@ func (c *QConv2D) forwardBatch(xs []*tensor.T, engs batchEngines, qmax int, per 
 			gatherDIV(bs.rows[p:], per[e].qx, offs, c.InC, hw)
 			p += stride
 		}
+		if !full {
+			rowKeys(span(keys, pix*nd, (pix+1)*nd), bs.rows[bs.ds[pix]:], stride)
+		}
+	}
+	if full {
+		rowKeys(keys, bs.rows, ksz)
 	}
 	for oc := 0; oc < c.OutC; oc++ {
 		wrow := c.W[oc*ksz : (oc+1)*ksz]
 		if full {
 			// The weight row serves every (example, pixel) of this
 			// output channel; each example's pixels go to the engine as
-			// one run, keeping the (oc, example, pixel) call order.
+			// one run.
 			for i := range dense {
 				acc := bs.acc[i*npix : (i+1)*npix]
-				engs.dotRows(dense[i:i+1], bs.rows[i*npix*ksz:(i+1)*npix*ksz], wrow, acc)
+				d.dotRows(bs.rows[i*npix*ksz:(i+1)*npix*ksz], wrow, span(keys, i*npix, (i+1)*npix), acc)
 				c.store(xs, dense[i:i+1], acc, oc, 0, npix)
 			}
 			continue
@@ -377,8 +397,8 @@ func (c *QConv2D) forwardBatch(xs []*tensor.T, engs batchEngines, qmax int, per 
 					end++
 				}
 			}
-			acc := bs.acc[:(end-pix)*len(dense)]
-			engs.dotRows(dense, bs.rows[bs.ds[pix]:bs.ds[end]], dkv, acc)
+			acc := bs.acc[:(end-pix)*nd]
+			d.dotRows(bs.rows[bs.ds[pix]:bs.ds[end]], dkv, span(keys, pix*nd, end*nd), acc)
 			c.store(xs, dense, acc, oc, pix, end)
 			pix = end
 		}
@@ -417,27 +437,25 @@ func (c *QConv2D) store(xs []*tensor.T, dense, acc []int, oc, pix, end int) {
 // and hands each output's weight row to the engine once, against all of
 // them; per-example call order stays (output) ascending, ForwardNaive's
 // order.
-func (d *QDense) forwardBatch(xs []*tensor.T, engs batchEngines, qmax int, bs *BatchScratch, li int) {
-	d.recordOps(bs.Ops, li, len(xs))
-	bs.dense = bs.dense[:0]
-	for e := range xs {
-		bs.dense = append(bs.dense, e)
-	}
-	bs.rows = growInts(bs.rows, len(xs)*d.In)
-	rows := bs.rows[:len(xs)*d.In]
+func (dl *QDense) forwardBatch(xs []*tensor.T, d dotter, qmax int, bs *BatchScratch, li int) {
+	dl.recordOps(bs.Ops, li, len(xs))
+	bs.rows = growInts(bs.rows, len(xs)*dl.In)
+	rows := bs.rows[:len(xs)*dl.In]
 	for e, x := range xs {
-		if len(x.Data) != d.In {
-			panic(fmt.Sprintf("quant: dense layer input length %d, want %d", len(x.Data), d.In))
+		if len(x.Data) != dl.In {
+			panic(fmt.Sprintf("quant: dense layer input length %d, want %d", len(x.Data), dl.In))
 		}
-		quantizeActs(rows[e*d.In:(e+1)*d.In], x.Data, d.InScale, qmax)
-		xs[e] = tensor.New(d.Out)
+		quantizeActs(rows[e*dl.In:(e+1)*dl.In], x.Data, dl.InScale, qmax)
+		xs[e] = tensor.New(dl.Out)
 	}
+	keys := d.keyBuf(bs, len(xs))
+	rowKeys(keys, rows, dl.In)
 	bs.acc = growInts(bs.acc, len(xs))
 	acc := bs.acc[:len(xs)]
-	for o := 0; o < d.Out; o++ {
-		engs.dotRows(bs.dense, rows, d.W[o*d.In:(o+1)*d.In], acc)
+	for o := 0; o < dl.Out; o++ {
+		d.dotRows(rows, dl.W[o*dl.In:(o+1)*dl.In], keys, acc)
 		for e, a := range acc {
-			xs[e].Data[o] = float32(a)*d.InScale*d.WScale + d.Bias[o]
+			xs[e].Data[o] = float32(a)*dl.InScale*dl.WScale + dl.Bias[o]
 		}
 	}
 }

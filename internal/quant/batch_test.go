@@ -66,12 +66,12 @@ func TestForwardBatchMatchesNaiveExact(t *testing.T) {
 	}
 }
 
-// Per-example stateful engines: each engine must observe exactly the
-// naive call sequence for its example, so batched logits are
-// bit-identical to running every example alone through ForwardNaive on
-// an identically seeded engine — the contract deterministic serving
-// relies on.
-func TestForwardBatchPerExampleEnginesMatchNaive(t *testing.T) {
+// One noisy scalar engine shared by the batch: every example's operand
+// vectors are its naive ones and every dot is a pure function of them,
+// so batched logits are bit-identical to running each example alone
+// through ForwardNaive on an identically configured engine — the
+// contract serving relies on.
+func TestForwardBatchNoisyMatchesNaive(t *testing.T) {
 	ccfg := core.DefaultConfig()
 	ccfg.N = 32
 	ccfg.M = 1
@@ -79,15 +79,11 @@ func TestForwardBatchPerExampleEnginesMatchNaive(t *testing.T) {
 	for _, qn := range quantNets(t) {
 		xs := batchInputs(4, 9, 1, 16, 16)
 		factory := SconnaEngineFactory(ccfg)
-		engines := make([]DotEngine, len(xs))
-		for i := range engines {
-			e, err := factory(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			engines[i] = e
+		eng, err := factory(0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got := qn.ForwardBatch(xs, engines, NewBatchScratch())
+		got := qn.ForwardBatch(xs, []DotEngine{eng}, NewBatchScratch())
 		for i, x := range xs {
 			fresh, err := factory(i)
 			if err != nil {
@@ -118,6 +114,9 @@ func TestForwardBatchValidates(t *testing.T) {
 	mustPanic(t, "engine count", func() {
 		qn.ForwardBatch(xs, nil, nil)
 	})
+	mustPanic(t, "one engine per example", func() {
+		qn.ForwardBatch(xs, []DotEngine{ExactEngine{}, ExactEngine{}}, nil)
+	})
 	mustPanic(t, "shape mismatch", func() {
 		bad := []*tensor.T{xs[0], tensor.New(1, 8, 8)}
 		qn.ForwardBatch(bad, []DotEngine{ExactEngine{}}, nil)
@@ -136,7 +135,7 @@ type rowRecordingEngine struct {
 
 func (r *rowRecordingEngine) SkipsZeros() bool { return r.skips }
 
-func (r *rowRecordingEngine) DotRows(rows, dkv, out []int) {
+func (r *rowRecordingEngine) DotRows(rows, dkv []int, _ []uint64, out []int) {
 	r.rowCalls++
 	r.rows += len(out)
 	n := len(dkv)
@@ -211,9 +210,8 @@ func assertSameCalls(t *testing.T, what string, got, want [][2][]int) {
 }
 
 // TestForwardBatchSharedCallOrder pins the call sequence one engine
-// shared by a batch sees — the order a stateful engine's noise stream
-// follows — against an order built independently from the examples'
-// ForwardNaive sequences, for a Dot-only engine and for a RowDotter whose rows
+// shared by a batch sees against an order built independently from the
+// examples' ForwardNaive sequences, for a Dot-only engine and for a RowDotter whose rows
 // are logged as calls. The cases cover padding-truncated, full-window
 // (pad-0 and 1x1), depthwise and dense layers.
 func TestForwardBatchSharedCallOrder(t *testing.T) {

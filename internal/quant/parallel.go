@@ -10,11 +10,11 @@ import (
 )
 
 // EngineFactory builds the DotEngine that evaluates one shard of a
-// batched-inference run. Stateful engines (SconnaEngine owns a core.VDPC
-// whose ADC noise streams advance per dot product — it must never be
-// shared across goroutines) get one instance per shard, keyed off the
-// shard index so the realized noise depends only on the shard partition,
-// never on worker count or scheduling.
+// batched-inference run, or fills one slot of a serving pool. Engines
+// are pure functions of their operands, but they hold scratch (weight
+// packs, the converter's row state) and so belong to one goroutine at a
+// time: each shard or slot gets its own. The factories here build the
+// same engine for every index.
 type EngineFactory func(shard int) (DotEngine, error)
 
 // SharedEngine adapts a stateless engine (e.g. ExactEngine) into a
@@ -25,32 +25,23 @@ func SharedEngine(e DotEngine) EngineFactory {
 }
 
 // SconnaEngineFactory returns a factory building one SCONNA functional
-// engine per shard. Each shard's VDPC draws its ADC noise from a seed
-// deterministically derived from cfg.ADCSeed and the shard index, so a
-// parallel evaluation realizes the same noise streams for any worker
-// count — including one.
+// engine per shard, every one configured as cfg. The ADC noise is keyed
+// by cfg.ADCSeed and the operands, so a parallel evaluation realizes the
+// same noise for any worker count — including one.
 func SconnaEngineFactory(cfg core.Config) EngineFactory {
-	return func(shard int) (DotEngine, error) {
-		scfg := cfg
-		scfg.ADCSeed = cfg.ADCSeed + int64(shard)*1000003
-		return NewSconnaEngine(scfg)
-	}
+	return func(int) (DotEngine, error) { return NewSconnaEngine(cfg) }
 }
 
-// EvalShardSize is the number of examples evaluated per engine shard. It
-// is a fixed property of the evaluation (not of the machine) so that the
-// shard partition — and with it every stateful engine's noise stream —
-// is identical on every host and at every worker count.
+// EvalShardSize is the number of examples evaluated per engine shard: a
+// fixed property of the evaluation (not of the machine), so the work
+// partition is identical on every host and at every worker count.
 const EvalShardSize = 16
 
 // evaluateBlock pushes examples through engine one at a time, returning
 // the top-1 and top-k hit counts. Both the serial Evaluate and each
 // parallel shard run through this one code path. The scratch is created
-// here — one per block, next to the engine it serves — so a stateful
-// engine and its scratch share the same single-goroutine ownership.
-// Examples go one per ForwardBatch call, never batched: a shared noisy
-// engine then realizes each example's ForwardNaive noise stream in
-// turn, so the result is independent of how the lowering batches.
+// here — one per block, next to the engine it serves — so the engine and
+// its scratch share the same single-goroutine ownership.
 func (q *Network) evaluateBlock(examples []nn.Example, k int, engine DotEngine) (c1, ck int) {
 	scratch := NewBatchScratch()
 	xs, engines := make([]*tensor.T, 1), []DotEngine{engine}

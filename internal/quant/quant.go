@@ -35,17 +35,22 @@ type DotEngine interface {
 // form of a run of Dot calls, one weight vector (DKV) held while many
 // operand vectors (DIVs) stream past it.
 //
-// DotRows(rows, dkv, out) must leave out[i] equal to
-// Dot(rows[i*n:(i+1)*n], dkv) with n = len(dkv), evaluated in order
-// i = 0..len(out)-1 — bit-identical to that sequential Dot loop,
-// including any hidden state the calls advance (a noisy ADC's RNG), and
-// panicking wherever the loop would. The lowering hands one engine
-// every dense example's row of an (output channel, pixel) — or of a run
-// of full-window pixels, which share the DKV — in a single call, so the
-// engine can validate and pack the DKV once.
+// DotRows(rows, dkv, keys, out) must leave out[i] equal to
+// Dot(rows[i*n:(i+1)*n], dkv) with n = len(dkv), bit for bit, in any
+// row order, and panic wherever that Dot would. keys[i] is row i's
+// core.VecKey — the operand digest a keyed-noise engine seeds its ADC
+// error with — computed once per row by the caller, however many DKVs
+// the row meets. keys may be nil: the engine then digests rows itself,
+// or ignores them when its result has no noise (an engine whose
+// SkipsZeros reports true depends only on nonzero lanes, so no digest
+// of all lanes can matter to it; the lowering passes nil keys there).
+// The lowering hands one engine every dense example's row of an
+// (output channel, pixel) — or of a run of full-window pixels, which
+// share the DKV — in a single call, so the engine can validate and pack
+// the DKV once.
 type RowDotter interface {
 	DotEngine
-	DotRows(rows, dkv, out []int)
+	DotRows(rows, dkv []int, keys []uint64, out []int)
 }
 
 // ExactEngine computes dot products with plain integer arithmetic — the
@@ -64,11 +69,11 @@ func (ExactEngine) Dot(div, dkv []int) int {
 	return s
 }
 
-// DotRows implements RowDotter. Rows go two at a time, so each weight
-// load and loop step feeds two independent sums: 15-30% faster than one
-// row at a time on the 9-50 lane rows of the served CNN (2-vCPU Xeon,
-// go1.24).
-func (ExactEngine) DotRows(rows, dkv, out []int) {
+// DotRows implements RowDotter; exact arithmetic has no noise, so keys
+// are ignored. Rows go two at a time, so each weight load and loop step
+// feeds two independent sums: 15-30% faster than one row at a time on
+// the 9-50 lane rows of the served CNN (2-vCPU Xeon, go1.24).
+func (ExactEngine) DotRows(rows, dkv []int, _ []uint64, out []int) {
 	n := len(dkv)
 	i := 0
 	for ; i+2 <= len(out); i += 2 {
@@ -112,7 +117,7 @@ type QDense struct {
 // qlayer is a node of the quantized network. It holds no forward-pass
 // state (pooling layers are instantiated per call), so a Network is safe
 // for concurrent Forward calls as long as each goroutine brings its own
-// DotEngine.
+// DotEngine (engines hold scratch).
 type qlayer struct {
 	conv  *QConv2D
 	dense *QDense
@@ -301,9 +306,10 @@ func gapPool(x *tensor.T) *tensor.T {
 
 // ForwardNaive runs quantized inference through the reference
 // per-output-pixel gather loops (the seed implementation, kept
-// verbatim). The lowered path must reproduce it exactly — same operand
-// vectors, same engine call order — so it anchors the equivalence and
-// call-sequence tests and the naive leg of BenchmarkQuantForward.
+// verbatim). The lowered path must reproduce it exactly — the same
+// operand vectors, so the same results on any pure engine — which
+// anchors the equivalence and call-sequence tests and the naive leg of
+// BenchmarkQuantForward.
 func (q *Network) ForwardNaive(x *tensor.T, engine DotEngine) *tensor.T {
 	qmax := int(1)<<uint(q.Bits) - 1
 	for _, l := range q.layers {
@@ -429,4 +435,73 @@ func (q *Network) NumWeights() int {
 		}
 	}
 	return t
+}
+
+// OutputShape walks the layers over an input of shape in and returns the
+// logits shape, or an error naming the first layer the incoming shape
+// does not fit: a conv whose InC differs from the incoming channel
+// count, whose padding is not smaller than its kernel, or whose window
+// exceeds the padded input; a pool over a plane smaller than 2x2; a
+// dense layer whose In differs from the flattened size. Load checks each
+// layer alone; the serving plane runs this walk over its input shape at
+// registration, so a mis-chained artifact fails there instead of
+// panicking in a worker.
+func (q *Network) OutputShape(in []int) ([]int, error) {
+	n := 1
+	for _, d := range in {
+		if d < 1 || n > math.MaxInt32/d {
+			return nil, fmt.Errorf("quant: input shape %v is not a positive shape of at most 2^31 elements", in)
+		}
+		n *= d
+	}
+	shape := append([]int(nil), in...)
+	for i, l := range q.layers {
+		var err error
+		switch {
+		case l.conv != nil:
+			shape, err = l.conv.outShape(shape)
+		case l.dense != nil:
+			if n != l.dense.In {
+				err = fmt.Errorf("dense layer takes %d inputs, got shape %v", l.dense.In, shape)
+			}
+			shape = []int{l.dense.Out}
+		case l.pool:
+			if len(shape) != 3 || shape[1] < 2 || shape[2] < 2 {
+				err = fmt.Errorf("2x2 pool needs a CxHxW input of at least 2x2, got %v", shape)
+			} else {
+				shape = []int{shape[0], shape[1] / 2, shape[2] / 2}
+			}
+		case l.gap:
+			if len(shape) != 3 {
+				err = fmt.Errorf("global average pool needs a CxHxW input, got %v", shape)
+			} else {
+				shape = shape[:1]
+			}
+		case l.flat:
+			shape = []int{n}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("quant: layer %d (%s): %w", i, l.kind(), err)
+		}
+		n = 1
+		for _, d := range shape {
+			n *= d
+		}
+	}
+	return shape, nil
+}
+
+// outShape is the conv's output shape over a CxHxW input.
+func (c *QConv2D) outShape(in []int) ([]int, error) {
+	if len(in) != 3 || in[0] != c.InC {
+		return nil, fmt.Errorf("conv takes %d input channels, got shape %v", c.InC, in)
+	}
+	if c.Pad >= c.K {
+		return nil, fmt.Errorf("conv padding %d is not smaller than its %dx%d kernel", c.Pad, c.K, c.K)
+	}
+	h, w := in[1]+2*c.Pad, in[2]+2*c.Pad
+	if h < c.K || w < c.K {
+		return nil, fmt.Errorf("conv %dx%d window exceeds the %dx%d input padded by %d", c.K, c.K, in[1], in[2], c.Pad)
+	}
+	return []int{c.OutC, (h-c.K)/c.Stride + 1, (w-c.K)/c.Stride + 1}, nil
 }

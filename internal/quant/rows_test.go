@@ -15,9 +15,9 @@ import (
 )
 
 // dotOnly hides every capability of an engine except Dot, Name and
-// ZeroSkipper — the shape of the serving plane's chaos wrappers and the
-// benchmark's counting probe — so ForwardBatch must fall back to per-row
-// Dot calls while taking the same sparse/dense decisions.
+// ZeroSkipper — the shape of the benchmark's counting probe — so
+// ForwardBatch must fall back to per-row Dot calls while taking the same
+// sparse/dense decisions.
 type dotOnly struct{ quant.DotEngine }
 
 func (d dotOnly) SkipsZeros() bool {
@@ -41,7 +41,7 @@ func TestExactDotRowsMatchesDot(t *testing.T) {
 			dkv[i] = rng.Intn(511) - 255
 		}
 		out := make([]int, nrows)
-		quant.ExactEngine{}.DotRows(rows, dkv, out)
+		quant.ExactEngine{}.DotRows(rows, dkv, nil, out)
 		for i, got := range out {
 			if want := (quant.ExactEngine{}).Dot(rows[i*n:(i+1)*n], dkv); got != want {
 				t.Fatalf("%d rows of %d lanes: row %d = %d, Dot = %d", nrows, n, i, got, want)
@@ -111,11 +111,11 @@ func assertLogitsBitIdentical(t *testing.T, what string, got, want []*tensor.T) 
 	}
 }
 
-// TestForwardBatchSharedEngineRowsMatchDot: one stateful packed engine
-// serving whole batches through DotRows must match the same engine
-// hidden behind a Dot-only wrapper bit for bit — noisy ADC over
-// consecutive batches (so the RNG carries across calls and batches), and
-// an ideal ADC on mixed sparse/dense batches.
+// TestForwardBatchSharedEngineRowsMatchDot: one packed engine serving
+// whole batches through DotRows, with the lowering's row digests, must
+// match the same engine hidden behind a Dot-only wrapper bit for bit —
+// noisy ADC over consecutive batches, and an ideal ADC on mixed
+// sparse/dense batches.
 func TestForwardBatchSharedEngineRowsMatchDot(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Bits = 8
@@ -149,44 +149,54 @@ func TestForwardBatchSharedEngineRowsMatchDot(t *testing.T) {
 	}
 }
 
-// TestForwardBatchPerExampleRowsMatchNaive: with one noisy packed
-// engine per example, each engine takes its example's rows (through
-// DotRows wherever a run belongs to it alone) in exactly the naive
-// order, so every example's logits equal ForwardNaive on an identically
-// seeded engine — on both im2col layouts.
-func TestForwardBatchPerExampleRowsMatchNaive(t *testing.T) {
+// TestForwardBatchCompositionIndependent: on a noisy engine an
+// example's logits are a pure function of the example — bit-identical
+// served alone, at every position of a batch, and beside different
+// batch-mates — on the packed and the scalar engines, over every rowNets
+// geometry (padding-truncated, depthwise and full-window).
+func TestForwardBatchCompositionIndependent(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Bits = 8
 	cfg.N = 16
-	cfg.M = 1
-	factory := sckernel.EngineFactory(cfg)
+	cfg.M = 2
+	cfg.ADCSeed = 23
+	builds := map[string]func() (quant.DotEngine, error){
+		"packed": func() (quant.DotEngine, error) { return sckernel.New(cfg) },
+		"scalar": func() (quant.DotEngine, error) { return quant.NewSconnaEngine(cfg) },
+	}
+	xs := rowInputs(4, 0, 21)
+	others := rowInputs(3, 0, 22)
 	for name, qn := range rowNets(t) {
-		xs := rowInputs(4, 0, 21)
-		engines := make([]quant.DotEngine, len(xs))
-		want := make([]*tensor.T, len(xs))
-		for i, x := range xs {
-			e, err := factory(i)
+		for ename, build := range builds {
+			eng, err := build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			engines[i] = e
-			fresh, err := factory(i)
-			if err != nil {
-				t.Fatal(err)
+			engines := []quant.DotEngine{eng}
+			s := quant.NewBatchScratch()
+			alone := make([]*tensor.T, len(xs))
+			for i, x := range xs {
+				alone[i] = qn.ForwardBatch([]*tensor.T{x}, engines, s)[0]
 			}
-			want[i] = qn.ForwardNaive(x, fresh)
+			what := name + "/" + ename
+			assertLogitsBitIdentical(t, what+" batch", qn.ForwardBatch(xs, engines, s), alone)
+			// Reversed order moves every example to another position.
+			rev := []*tensor.T{xs[3], xs[2], xs[1], xs[0]}
+			got := qn.ForwardBatch(rev, engines, s)
+			assertLogitsBitIdentical(t, what+" reversed", []*tensor.T{got[3], got[2], got[1], got[0]}, alone)
+			// Different batch-mates on either side.
+			got = qn.ForwardBatch([]*tensor.T{others[0], xs[1], others[1], others[2], xs[2]}, engines, s)
+			assertLogitsBitIdentical(t, what+" mixed", []*tensor.T{got[1], got[4]}, alone[1:3])
 		}
-		assertLogitsBitIdentical(t, name, qn.ForwardBatch(xs, engines, nil), want)
 	}
 }
 
 // TestForwardBatchOneAtATimeMatchesNaive pins the evaluation contract:
-// one stateful engine fed consecutive one-input ForwardBatch calls over
-// a reused scratch realizes, input by input, exactly the noise stream
-// ForwardNaive draws from a fresh engine with the same seed over the
-// same sequence — for the packed kernel and the scalar core, on every
-// rowNets geometry. Evaluate and EvaluateParallel (and so -exp table5)
-// rest on it.
+// one engine fed consecutive one-input ForwardBatch calls over a reused
+// scratch realizes, input by input, exactly the noise ForwardNaive draws
+// on another engine with the same configuration — for the packed kernel
+// and the scalar core, on every rowNets geometry. Evaluate and
+// EvaluateParallel (and so -exp table5) rest on it.
 func TestForwardBatchOneAtATimeMatchesNaive(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Bits = 8

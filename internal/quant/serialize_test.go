@@ -210,8 +210,9 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 	}
 }
 
-// FuzzLoad feeds arbitrary bytes to Load. It must never panic, and an
-// artifact it accepts must survive Save→Load with the same Digest. The
+// FuzzLoad feeds arbitrary bytes to Load. It must never panic, an
+// artifact it accepts must survive Save→Load with the same Digest, and
+// the serving shape walk over it must answer without panicking. The
 // seeds are saved artifactNets and the two size-overflow artifacts.
 func FuzzLoad(f *testing.F) {
 	qn := artifactNet(f, 2, 6, 43)
@@ -229,6 +230,7 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
+		_, _ = got.OutputShape([]int{1, 16, 16})
 		var buf bytes.Buffer
 		if err := got.Save(&buf); err != nil {
 			t.Fatalf("saving an accepted artifact: %v", err)

@@ -5,24 +5,21 @@ import (
 )
 
 // ZeroSkipper marks engines for which the sparsity-exploiting lowering
-// is provably exact. SkipsZeros() == true is a contract with three
+// is provably exact. SkipsZeros() == true is a contract with two
 // clauses: (1) Dot's result is a pure function of the lanes whose DIV
 // value is nonzero — a lane with div[i] == 0 contributes nothing and may
 // be dropped; (2) Dot over empty vectors is 0, so a call whose every
-// lane is zero may be elided entirely; (3) Dot consumes no hidden state
-// (no RNG advance, no call counter), so eliding calls cannot shift any
-// noise stream.
+// lane is zero may be elided entirely.
 //
-// ExactEngine satisfies all three trivially (plain integer arithmetic).
-// The packed analytic SCONNA tier satisfies them when its ADC is ideal:
+// ExactEngine satisfies both trivially (plain integer arithmetic). The
+// packed analytic SCONNA tier satisfies them when its ADC is ideal:
 // lanes are independent (a zero-DIV lane lights no stream bits, so its
 // popcount contribution is exactly zero), the ideal ADC conversion draws
-// no randomness, and the PCA capacity check cannot fire on a subset of
-// lanes if it did not fire on the full set. Noisy engines must NOT
-// implement (or must return false from) SkipsZeros: their ADC noise
-// stream advances per Dot call, so they require the dense per-(layer,
-// output-channel, pixel) call sequence, which the lowering preserves for
-// them unconditionally.
+// no noise, and the PCA capacity check cannot fire on a subset of lanes
+// if it did not fire on the full set. Noisy engines must NOT implement
+// (or must return false from) SkipsZeros: their ADC error is keyed by
+// every lane value, zeros included, so they require the dense operand
+// vectors, which the lowering preserves for them unconditionally.
 type ZeroSkipper interface {
 	DotEngine
 	// SkipsZeros reports that dropping zero-DIV lanes (and whole

@@ -152,9 +152,9 @@ func TestQuantSparseDenseCallOrderPreserved(t *testing.T) {
 	}
 }
 
-// TestQuantSparseBatchMixedEngines runs micro-batches whose engines mix
-// sparse-capable and dense-only substrates over the sparsity tier: every
-// example must be bit-identical to its own ForwardNaive pass.
+// TestQuantSparseBatchMixedEngines runs micro-batches over the sparsity
+// tier on a sparse-capable and on a dense-only substrate: every example
+// must be bit-identical to its own ForwardNaive pass on that engine.
 func TestQuantSparseBatchMixedEngines(t *testing.T) {
 	t.Parallel()
 	for _, tc := range qnetCases(t) {
@@ -167,14 +167,15 @@ func TestQuantSparseBatchMixedEngines(t *testing.T) {
 				for i := range xs {
 					xs[i] = sparseInput(rng, sp, tc.x.Shape...)
 				}
-				engines := []DotEngine{ExactEngine{}, denseOnlyEngine{}, ExactEngine{}, denseOnlyEngine{}}
-				got := tc.qn.ForwardBatch(xs, engines, bs)
-				for e := range xs {
-					want := tc.qn.ForwardNaive(xs[e], engines[e])
-					for i := range want.Data {
-						if math.Float32bits(got[e].Data[i]) != math.Float32bits(want.Data[i]) {
-							t.Fatalf("sp=%.1f example %d logit[%d]: batch %v naive %v",
-								sp, e, i, got[e].Data[i], want.Data[i])
+				for _, eng := range []DotEngine{ExactEngine{}, denseOnlyEngine{}} {
+					got := tc.qn.ForwardBatch(xs, []DotEngine{eng}, bs)
+					for e := range xs {
+						want := tc.qn.ForwardNaive(xs[e], eng)
+						for i := range want.Data {
+							if math.Float32bits(got[e].Data[i]) != math.Float32bits(want.Data[i]) {
+								t.Fatalf("%s sp=%.1f example %d logit[%d]: batch %v naive %v",
+									eng.Name(), sp, e, i, got[e].Data[i], want.Data[i])
+							}
 						}
 					}
 				}

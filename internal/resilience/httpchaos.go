@@ -1,3 +1,26 @@
+// Package resilience is the robustness plane of the serving stack:
+// seeded HTTP fault injection, a retrying HTTP client, circuit breakers
+// and admission quotas. It sits below internal/serve (which wires
+// breakers and quotas into the model registry) and beside HTTP clients
+// (which use the retry policy), and it owes its shape to the same
+// contract every other plane in this tree honors: determinism first.
+//
+// Fault injection is seeded, not random. Every chaos decision — does
+// HTTP request i get a 500 or a stall — is a pure function of (seed,
+// index) through the splitmix64 finalizer (digest.Mix64). Two chaos
+// runs at the same seed realize the identical fault schedule, so a
+// failure a soak run surfaces is replayable, and a test can compute the
+// schedule up front. Faults live at the HTTP edge only: engines are
+// built once per pool slot and compute pure functions, so no fault can
+// make a response's bytes depend on which slot served it.
+//
+// The circuit breaker is a per-model three-state machine (closed →
+// open → half-open) over a rolling outcome window: it trips when the
+// failure fraction crosses a threshold, sheds load for a cooldown
+// (callers get 503 + Retry-After), then admits a bounded number of
+// probes whose outcomes decide between closing and re-opening. The
+// admission quota is the registry-level fairness primitive: a bounded
+// in-flight count per model, sized by weight when models share a box.
 package resilience
 
 import (
@@ -5,7 +28,21 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/digest"
 )
+
+// fault is one chaos-schedule outcome for a request index.
+type fault int
+
+const (
+	faultNone  fault = iota
+	faultErr         // answer with a flagged 500
+	faultStall       // delay, then forward
+)
+
+// unit maps a hash to [0, 1).
+func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
 
 // ChaosHeader marks chaos-injected HTTP failures, so clients, soak
 // harnesses and log scrapers can separate injected 5xx from real ones.
@@ -18,7 +55,8 @@ const ChaosHeader = "X-Chaos-Injected"
 // indices to wire requests follows arrival order, which is what a
 // recorded serial trace replays exactly.
 type HTTPChaosOptions struct {
-	// Seed keys the schedule, exactly like ChaosOptions.Seed.
+	// Seed keys the schedule; the same seed always realizes the same
+	// schedule.
 	Seed uint64
 	// ErrorRate is the fraction of requests answered with an injected
 	// 500 (body flagged, ChaosHeader set) before reaching the handler.
@@ -36,16 +74,18 @@ type HTTPChaosOptions struct {
 	FaultBudget uint64
 }
 
-// faultFor mirrors ChaosOptions.FaultFor on the HTTP axis.
-func (o HTTPChaosOptions) faultFor(idx uint64) Fault {
-	u := unit(Mix64(o.Seed ^ Mix64(idx^0x5e1f)))
+// faultFor returns the scheduled fault for request index idx: a pure
+// function of (Seed, idx). The rates partition the unit interval in the
+// order error, stall.
+func (o HTTPChaosOptions) faultFor(idx uint64) fault {
+	u := unit(digest.Mix64(o.Seed ^ digest.Mix64(idx^0x5e1f)))
 	switch {
 	case u < o.ErrorRate:
-		return FaultErr
+		return faultErr
 	case u < o.ErrorRate+o.StallRate:
-		return FaultSlow
+		return faultStall
 	}
-	return FaultNone
+	return faultNone
 }
 
 func (o HTTPChaosOptions) stall() time.Duration {
@@ -67,12 +107,12 @@ func Middleware(h http.Handler, o HTTPChaosOptions) http.Handler {
 	var idx, spent atomic.Uint64
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		i := idx.Add(1) - 1
-		fault := o.faultFor(i)
-		if fault != FaultNone && o.FaultBudget > 0 && spent.Add(1) > o.FaultBudget {
-			fault = FaultNone
+		f := o.faultFor(i)
+		if f != faultNone && o.FaultBudget > 0 && spent.Add(1) > o.FaultBudget {
+			f = faultNone
 		}
-		switch fault {
-		case FaultErr:
+		switch f {
+		case faultErr:
 			w.Header().Set(ChaosHeader, "error")
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusInternalServerError)
@@ -80,7 +120,7 @@ func Middleware(h http.Handler, o HTTPChaosOptions) http.Handler {
 				"error": "resilience: injected HTTP fault",
 			})
 			return
-		case FaultSlow:
+		case faultStall:
 			w.Header().Set(ChaosHeader, "stall")
 			time.Sleep(o.stall())
 		}

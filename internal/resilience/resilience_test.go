@@ -1,91 +1,42 @@
 package resilience
 
 import (
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/quant"
 )
 
-// The chaos schedule is a pure function of (seed, seq): two walks agree
-// exactly, a different seed realizes a different schedule, and the
-// configured rates are realized to within sampling error.
+// The HTTP chaos schedule is a pure function of (seed, index): two
+// walks agree exactly, a different seed realizes a different schedule,
+// and the configured rates are realized to within sampling error.
 func TestChaosScheduleDeterministicAndSeeded(t *testing.T) {
-	o := ChaosOptions{Seed: 42, ErrRate: 0.1, SlowRate: 0.1, WrongRate: 0.1}
-	counts := map[Fault]int{}
-	for seq := uint64(0); seq < 4096; seq++ {
-		f := o.FaultFor(seq)
-		if again := o.FaultFor(seq); again != f {
-			t.Fatalf("seq %d: schedule not stable: %v then %v", seq, f, again)
+	o := HTTPChaosOptions{Seed: 42, ErrorRate: 0.1, StallRate: 0.1}
+	counts := map[fault]int{}
+	for idx := uint64(0); idx < 4096; idx++ {
+		f := o.faultFor(idx)
+		if again := o.faultFor(idx); again != f {
+			t.Fatalf("index %d: schedule not stable: %v then %v", idx, f, again)
 		}
 		counts[f]++
 	}
-	for _, f := range []Fault{FaultErr, FaultSlow, FaultWrong} {
+	for _, f := range []fault{faultErr, faultStall} {
 		got := float64(counts[f]) / 4096
 		if got < 0.05 || got > 0.15 {
 			t.Fatalf("fault %v realized at rate %.3f, want ~0.1", f, got)
 		}
 	}
 	diff := 0
-	other := ChaosOptions{Seed: 43, ErrRate: 0.1, SlowRate: 0.1, WrongRate: 0.1}
-	for seq := uint64(0); seq < 4096; seq++ {
-		if o.FaultFor(seq) != other.FaultFor(seq) {
+	other := HTTPChaosOptions{Seed: 43, ErrorRate: 0.1, StallRate: 0.1}
+	for idx := uint64(0); idx < 4096; idx++ {
+		if o.faultFor(idx) != other.faultFor(idx) {
 			diff++
 		}
 	}
 	if diff == 0 {
 		t.Fatal("two seeds realized the identical schedule")
-	}
-}
-
-func TestChaosEngineFactoryInjects(t *testing.T) {
-	o := ChaosOptions{Seed: 7, ErrRate: 0.2, WrongRate: 0.2, SlowRate: 0.1, SlowDelay: time.Microsecond}
-	factory := ChaosEngineFactory(quant.SharedEngine(quant.ExactEngine{}), o)
-	div, dkv := []int{1, 2, 3}, []int{4, 5, 6}
-	want := quant.ExactEngine{}.Dot(div, dkv)
-	var sawErr, sawWrong, sawClean bool
-	for seq := 0; seq < 256; seq++ {
-		eng, err := factory(seq)
-		fault := o.FaultFor(uint64(seq))
-		switch fault {
-		case FaultErr:
-			if !errors.Is(err, ErrInjected) {
-				t.Fatalf("seq %d scheduled to fail, got err=%v", seq, err)
-			}
-			sawErr = true
-			continue
-		}
-		if err != nil {
-			t.Fatalf("seq %d: unscheduled error %v", seq, err)
-		}
-		got := eng.Dot(div, dkv)
-		switch fault {
-		case FaultWrong:
-			if got == want {
-				t.Fatalf("seq %d scheduled wrong, returned the correct dot", seq)
-			}
-			// The corruption itself is part of the schedule: replayable.
-			eng2, _ := factory(seq)
-			if eng2.Dot(div, dkv) != got {
-				t.Fatalf("seq %d: corruption not replayable", seq)
-			}
-			sawWrong = true
-		default:
-			if got != want {
-				t.Fatalf("seq %d (fault %v): dot %d, want %d", seq, fault, got, want)
-			}
-			if fault == FaultNone {
-				sawClean = true
-			}
-		}
-	}
-	if !sawErr || !sawWrong || !sawClean {
-		t.Fatalf("schedule did not exercise all paths: err=%v wrong=%v clean=%v", sawErr, sawWrong, sawClean)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/digest"
 )
 
 // RetryOptions shapes the retrying client's backoff policy.
@@ -90,7 +92,7 @@ func (c *RetryClient) delay(o RetryOptions, call uint64, k int, retryAfter strin
 	}
 	// Jitter in [0.5, 1.0): deterministic per (seed, call, attempt) so
 	// replayed load realizes the same sleep schedule.
-	j := 0.5 + 0.5*unit(Mix64(o.Seed^Mix64(call*64+uint64(k))))
+	j := 0.5 + 0.5*unit(digest.Mix64(o.Seed^digest.Mix64(call*64+uint64(k))))
 	return time.Duration(float64(d) * j)
 }
 

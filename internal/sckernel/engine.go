@@ -2,8 +2,6 @@ package sckernel
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/photonics"
@@ -12,20 +10,19 @@ import (
 
 // Engine is the word-packed SC serving engine: a quant.DotEngine that
 // computes exactly what quant.SconnaEngine computes — same chunk seams
-// as core.VDPC.DotLarge, same per-chunk PCA capacity check, same
-// ADC-noise draw order from identically seeded per-VDPE RNGs — through
-// the packed Plane kernels instead of the per-lane scalar walk.
+// as core.VDPC.DotLarge, same per-chunk PCA capacity check, the same
+// keyed core.ADC conversion — through the packed Plane kernels instead
+// of the per-lane scalar walk. Every result is a pure function of the
+// configuration and the operands.
 //
-// Like the scalar engine it replaces, an Engine is stateful (its ADC
-// RNGs advance two draws per psum chunk) and must be owned by exactly
-// one goroutine; the serving plane's pool and the evaluation shards
-// already enforce that ownership. The Plane behind it is immutable and
-// shared freely.
+// An Engine holds scratch (the weight packs and the converter's row
+// state), so it is used by one goroutine at a time; the serving plane's
+// pool and the evaluation shards already enforce that. The Plane behind
+// it is immutable and shared freely.
 type Engine struct {
 	cfg     core.Config
 	plane   *Plane
-	rngs    []*rand.Rand
-	sigma   float64
+	adc     *core.ADC
 	maxOnes int
 
 	// packs is the DotRows weight-pack scratch: one packed DKV per psum
@@ -52,25 +49,12 @@ func New(cfg core.Config) (*Engine, error) {
 	if maxN := probe.ChannelCount(cfg.ChannelSpacingNM); cfg.N > maxN {
 		return nil, fmt.Errorf("sckernel: N=%d exceeds FSR-limited channel count %d", cfg.N, maxN)
 	}
-	e := &Engine{
+	return &Engine{
 		cfg:     cfg,
 		plane:   PlaneFor(cfg.Bits),
+		adc:     core.NewADC(cfg),
 		maxOnes: cfg.N * (1 << uint(cfg.Bits)),
-	}
-	// The converter model is copied from core.NewVDPE verbatim: the MAPE
-	// realized as zero-mean Gaussian relative noise with
-	// E|eps| = sigma*sqrt(2/pi), one RNG per mirrored VDPE seeded
-	// ADCSeed + 2*i — the draw streams Est equivalence is pinned to.
-	mape := cfg.ADCMAPEPct
-	if mape == 0 && !cfg.IdealADC {
-		mape = 1.3
-	}
-	e.sigma = mape / 100 * math.Sqrt(math.Pi/2)
-	e.rngs = make([]*rand.Rand, cfg.M)
-	for i := range e.rngs {
-		e.rngs[i] = rand.New(rand.NewSource(cfg.ADCSeed + int64(2*i)))
-	}
-	return e, nil
+	}, nil
 }
 
 // Name implements quant.DotEngine.
@@ -89,8 +73,8 @@ func (e *Engine) Name() string {
 // seams fall on the shorter vector — and the PCA capacity check cannot
 // fire on a lane subset when it could not fire on the full set (pos and
 // neg only shrink, and both are bounded by N*2^B = maxOnes regardless).
-// A noisy ADC breaks all of this: its RNG advances two draws per chunk,
-// so the engine then requires the dense call sequence and reports false.
+// A noisy ADC breaks clause one: its error is keyed by every lane value,
+// zeros included, so the engine then reports false.
 func (e *Engine) SkipsZeros() bool { return e.cfg.IdealADC }
 
 // Dot implements quant.DotEngine with the packed kernels. Operand
@@ -105,14 +89,14 @@ func (e *Engine) Dot(div, dkv []int) int {
 }
 
 // DotLarge mirrors core.VDPC.DotLarge on the packed plane: the vectors
-// decompose into ceil(S/N) psum chunks, chunk c runs on mirrored VDPE
-// c mod M (whose RNG supplies that chunk's two ADC draws), and the
-// partial estimates reduce digitally. Returned values are bit-identical
-// to the scalar core, chunk for chunk.
+// decompose into ceil(S/N) psum chunks, each converts in order on the
+// row's keyed ADC stream, and the partial estimates reduce digitally.
+// Returned values are bit-identical to the scalar core, chunk for chunk.
 func (e *Engine) DotLarge(div, dkv []int) (est, exact, chunks int, err error) {
 	if len(div) != len(dkv) {
 		return 0, 0, 0, fmt.Errorf("sckernel: vector length mismatch %d vs %d", len(div), len(dkv))
 	}
+	e.adc.StartRow(div, dkv)
 	n := e.cfg.N
 	scale := 1 << uint(e.cfg.Bits)
 	for off := 0; off < len(div); off += n {
@@ -124,7 +108,7 @@ func (e *Engine) DotLarge(div, dkv []int) (est, exact, chunks int, err error) {
 		if derr != nil {
 			return 0, 0, 0, derr
 		}
-		cest, cexact, cerr := e.convert(pos, neg, chunks, scale)
+		cest, cexact, cerr := e.convert(pos, neg, scale)
 		if cerr != nil {
 			return 0, 0, 0, cerr
 		}
@@ -136,20 +120,13 @@ func (e *Engine) DotLarge(div, dkv []int) (est, exact, chunks int, err error) {
 }
 
 // convert applies the PCA capacity check and the ADC conversion to one
-// chunk's accumulator counts — the post-kernel half of core.VDPE.Dot,
-// floating-point op for floating-point op.
-func (e *Engine) convert(pos, neg, chunk, scale int) (est, exact int, err error) {
+// chunk's accumulator counts on the current row — the post-kernel half
+// of core.VDPE.Dot.
+func (e *Engine) convert(pos, neg, scale int) (est, exact int, err error) {
 	if pos > e.maxOnes || neg > e.maxOnes {
 		return 0, 0, fmt.Errorf("sckernel: accumulation %d/%d exceeds PCA capacity %d", pos, neg, e.maxOnes)
 	}
-	exact = (pos - neg) * scale
-	if e.cfg.IdealADC {
-		return exact, exact, nil
-	}
-	rng := e.rngs[chunk%len(e.rngs)]
-	ep := float64(pos) * (1 + rng.NormFloat64()*e.sigma)
-	en := float64(neg) * (1 + rng.NormFloat64()*e.sigma)
-	return int(math.Round(ep-en)) * scale, exact, nil
+	return e.adc.Convert(pos, neg, scale), (pos - neg) * scale, nil
 }
 
 // Chunks returns how many psum chunks a vector of length s decomposes
@@ -167,26 +144,32 @@ func (e *Engine) Chunks(s int) int {
 // amortization: the serving plane applies one conv weight row to every
 // dense example of a micro-batch.
 //
-// Rows run in order through the chunk seams and ADC draws of DotLarge,
-// so the engine's noise stream advances exactly as it would under
-// sequential Dot calls: DotRows is bit-identical to that loop (pinned by
-// the row equivalence test) and panics where it would.
-func (e *Engine) DotRows(rows, dkv, out []int) {
+// keys[i] is row i's core.VecKey, which the caller computes once per row
+// however many weight vectors the row meets; nil keys make the engine
+// digest each row itself. Either way DotRows equals the Dot loop bit for
+// bit (pinned by the row equivalence tests) and panics where it would.
+func (e *Engine) DotRows(rows, dkv []int, keys []uint64, out []int) {
 	s := len(dkv)
 	if len(out) == 0 {
 		return // no rows, no calls: nothing to validate
 	}
 	if err := e.packDKV(dkv); err != nil {
-		// An out-of-range weight. The Dot loop panics on row 0, after
-		// drawing the noise of the chunks ahead of the bad one: replay
-		// it, so even the panic leaves the engine where Dot would.
-		for i := range out {
-			out[i] = e.Dot(rows[i*s:(i+1)*s], dkv)
-		}
-		return
+		panic(fmt.Sprintf("sckernel: packed dot failed: %v", err))
+	}
+	var dkvKey uint64
+	if !e.adc.Ideal() {
+		dkvKey = core.VecKey(dkv)
 	}
 	for v := range out {
-		est, err := e.dotPacked(rows[v*s : (v+1)*s])
+		row := rows[v*s : (v+1)*s]
+		switch {
+		case e.adc.Ideal():
+		case keys != nil:
+			e.adc.Start(core.RowKey(keys[v], dkvKey))
+		default:
+			e.adc.Start(core.RowKey(core.VecKey(row), dkvKey))
+		}
+		est, err := e.dotPacked(row)
 		if err != nil {
 			panic(fmt.Sprintf("sckernel: packed dot failed: %v", err))
 		}
@@ -195,8 +178,8 @@ func (e *Engine) DotRows(rows, dkv, out []int) {
 }
 
 // dotPacked is DotLarge's estimate for one DIV against the DKV packed in
-// e.packs (len(div) must equal the packed length): the same chunk
-// seams, the same ADC draws.
+// e.packs (len(div) must equal the packed length) on the row already
+// started on e.adc: the same chunk seams, the same ADC draws.
 func (e *Engine) dotPacked(div []int) (int, error) {
 	n := e.cfg.N
 	scale := 1 << uint(e.cfg.Bits)
@@ -206,7 +189,7 @@ func (e *Engine) dotPacked(div []int) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		cest, _, err := e.convert(pos, neg, c, scale)
+		cest, _, err := e.convert(pos, neg, scale)
 		if err != nil {
 			return 0, err
 		}
@@ -231,16 +214,11 @@ func (e *Engine) packDKV(dkv []int) error {
 }
 
 // EngineFactory returns a quant.EngineFactory building one packed
-// engine per shard, with the shard-seed derivation copied from
-// quant.SconnaEngineFactory — so swapping the scalar factory for this
-// one changes the arithmetic substrate and nothing else: evaluation
-// shards and deterministic-serving requests realize the identical ADC
-// noise streams, and every result stays bit-identical to the scalar
-// plane (pinned by the serving equivalence tests).
+// engine per shard, configured exactly like quant.SconnaEngineFactory's
+// scalar engines — so swapping the scalar factory for this one changes
+// the arithmetic substrate and nothing else: every result stays
+// bit-identical to the scalar plane (pinned by the serving equivalence
+// tests).
 func EngineFactory(cfg core.Config) quant.EngineFactory {
-	return func(shard int) (quant.DotEngine, error) {
-		scfg := cfg
-		scfg.ADCSeed = cfg.ADCSeed + int64(shard)*1000003
-		return New(scfg)
-	}
+	return func(int) (quant.DotEngine, error) { return New(cfg) }
 }

@@ -5,14 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/quant"
 )
 
 // TestDotRowsMatchesSequentialDot: DotRows must be bit-identical to
-// calling Dot row by row in order — same estimates, same ADC RNG
-// advancement — including across consecutive DotRows calls on one
-// stateful engine, with noisy and ideal ADCs and rows whose length
-// crosses the psum chunk seams.
+// calling Dot row by row — with caller-supplied row keys and with nil
+// keys — across consecutive DotRows calls on one engine, with noisy and
+// ideal ADCs and rows whose length crosses the psum chunk seams.
 func TestDotRowsMatchesSequentialDot(t *testing.T) {
 	for _, ideal := range []bool{false, true} {
 		cfg := testCfg(8, ideal)
@@ -38,14 +38,67 @@ func TestDotRowsMatchesSequentialDot(t *testing.T) {
 			for i := range rows {
 				rows[i] = rng.Intn(scale + 1)
 			}
+			var keys []uint64
+			if round%2 == 0 {
+				keys = rowKeys(rows, length)
+			}
 			out := make([]int, nrows)
-			rowed.DotRows(rows, dkv, out)
+			rowed.DotRows(rows, dkv, keys, out)
 			for v := range out {
 				if want := serial.Dot(rows[v*length:(v+1)*length], dkv); out[v] != want {
 					t.Fatalf("round %d ideal=%v row %d: DotRows %d != sequential Dot %d",
 						round, ideal, v, out[v], want)
 				}
 			}
+		}
+	}
+}
+
+// rowKeys digests each length-lane row, as the lowering does.
+func rowKeys(rows []int, length int) []uint64 {
+	keys := make([]uint64, len(rows)/length)
+	for i := range keys {
+		keys[i] = core.VecKey(rows[i*length : (i+1)*length])
+	}
+	return keys
+}
+
+// TestDotRowsOrderFree: noisy DotRows over a permutation of the rows
+// and their keys returns the same results, permuted — no row's ADC
+// error depends on its position in the call.
+func TestDotRowsOrderFree(t *testing.T) {
+	cfg := testCfg(8, false)
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	scale := 1 << uint(cfg.Bits)
+	length := 2*cfg.N + 5
+	const nrows = 12
+	dkv := make([]int, length)
+	for i := range dkv {
+		dkv[i] = rng.Intn(2*scale+1) - scale
+	}
+	rows := make([]int, nrows*length)
+	for i := range rows {
+		rows[i] = rng.Intn(scale + 1)
+	}
+	keys := rowKeys(rows, length)
+	want := make([]int, nrows)
+	e.DotRows(rows, dkv, keys, want)
+	perm := rng.Perm(nrows)
+	prows := make([]int, len(rows))
+	pkeys := make([]uint64, nrows)
+	for i, p := range perm {
+		copy(prows[i*length:(i+1)*length], rows[p*length:(p+1)*length])
+		pkeys[i] = keys[p]
+	}
+	got := make([]int, nrows)
+	e.DotRows(prows, dkv, pkeys, got)
+	for i, p := range perm {
+		if got[i] != want[p] {
+			t.Fatalf("row %d at position %d: %d, in order %d", p, i, got[i], want[p])
 		}
 	}
 }
@@ -59,7 +112,7 @@ func TestDotRowsOperandContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	scale := 1 << 4
-	e.DotRows(nil, []int{-scale - 1}, nil) // zero rows: no call, no panic
+	e.DotRows(nil, []int{-scale - 1}, nil, nil) // zero rows: no call, no panic
 	for _, tc := range []struct {
 		name      string
 		rows, dkv []int
@@ -75,14 +128,14 @@ func TestDotRowsOperandContract(t *testing.T) {
 					t.Fatalf("%s: panic %v lacks package context", tc.name, r)
 				}
 			}()
-			e.DotRows(tc.rows, tc.dkv, make([]int, len(tc.rows)/len(tc.dkv)))
+			e.DotRows(tc.rows, tc.dkv, nil, make([]int, len(tc.rows)/len(tc.dkv)))
 		}()
 	}
 }
 
-// TestEngineFactoryMatchesScalarFactory: the packed factory must derive
-// shard seeds exactly as quant.SconnaEngineFactory, so engines at the
-// same shard index realize the same noise stream as their scalar twin.
+// TestEngineFactoryMatchesScalarFactory: the packed factory must build
+// engines configured exactly as quant.SconnaEngineFactory's, so engines
+// at the same shard index realize the same noise as their scalar twin.
 func TestEngineFactoryMatchesScalarFactory(t *testing.T) {
 	cfg := testCfg(6, false)
 	packedF := EngineFactory(cfg)
@@ -208,8 +261,8 @@ func TestPlaneSharing(t *testing.T) {
 	}
 }
 
-// TestZeroLengthDot: an empty vector is zero chunks, zero estimate and
-// zero RNG draws — exactly the scalar DotLarge walk.
+// TestZeroLengthDot: an empty vector is zero chunks and zero estimate —
+// exactly the scalar DotLarge walk — and leaves later results alone.
 func TestZeroLengthDot(t *testing.T) {
 	cfg := testCfg(6, false)
 	a, err := New(cfg)
@@ -224,8 +277,8 @@ func TestZeroLengthDot(t *testing.T) {
 	if err != nil || est != 0 || exact != 0 || chunks != 0 {
 		t.Fatalf("empty DotLarge = (%d,%d,%d,%v), want zeros", est, exact, chunks, err)
 	}
-	// The empty call must not have advanced the RNGs: both engines now
-	// produce identical noisy traces.
+	// The empty call must not disturb later conversions: both engines
+	// now produce identical noisy traces.
 	got := engineTrace(t, a, cfg.Bits, cfg.N)
 	want := engineTrace(t, b, cfg.Bits, cfg.N)
 	for i := range want {

@@ -1,7 +1,6 @@
 package sckernel
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -28,9 +27,8 @@ func (fs faultSpec) mask(n int) *FaultMask {
 
 // TestFaultyVDPEMatchesPackedKernels is the real equivalence test the
 // faults plane was missing: core.FaultyVDPE.Dot against the packed
-// fault kernel, PosOnes/NegOnes/Exact bitwise, and Est reconstructed
-// through FaultyVDPE's own converter walk (its truncating int(ep-en)
-// conversion, reproduced draw for draw from the same seed).
+// fault kernel, PosOnes/NegOnes/Exact bitwise, and Est converted from
+// the packed counts through a core.ADC keyed by the same operands.
 func TestFaultyVDPEMatchesPackedKernels(t *testing.T) {
 	specs := []faultSpec{
 		{name: "none"},
@@ -65,15 +63,7 @@ func TestFaultyVDPEMatchesPackedKernels(t *testing.T) {
 				if got, want := mask.Count(), len(spec.faults); got != want {
 					t.Fatalf("%s: mask count %d != %d", spec.name, got, want)
 				}
-				// The packed side reconstructs FaultyVDPE's converter:
-				// same seed, same sigma derivation, same truncating
-				// conversion — so Est equivalence pins that quirk too.
-				rng := rand.New(rand.NewSource(cfg.ADCSeed))
-				mape := cfg.ADCMAPEPct
-				if mape == 0 && !cfg.IdealADC {
-					mape = 1.3
-				}
-				sigma := mape / 100 * math.Sqrt(math.Pi/2)
+				adc := core.NewADC(cfg)
 				opRng := rand.New(rand.NewSource(int64(13*bits) + int64(len(spec.faults))))
 				for call := 0; call < 6; call++ {
 					div := make([]int, cfg.N)
@@ -98,13 +88,8 @@ func TestFaultyVDPEMatchesPackedKernels(t *testing.T) {
 					if exact != ref.Exact {
 						t.Fatalf("B=%d %s call %d: exact %d != %d", bits, spec.name, call, exact, ref.Exact)
 					}
-					est := exact
-					if !cfg.IdealADC {
-						ep := float64(pos) * (1 + rng.NormFloat64()*sigma)
-						en := float64(neg) * (1 + rng.NormFloat64()*sigma)
-						est = int(ep-en) * scale
-					}
-					if est != ref.Est {
+					adc.StartRow(div, dkv)
+					if est := adc.Convert(pos, neg, scale); est != ref.Est {
 						t.Fatalf("B=%d ideal=%v %s call %d: est %d != FaultyVDPE %d",
 							bits, ideal, spec.name, call, est, ref.Est)
 					}

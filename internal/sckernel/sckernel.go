@@ -13,8 +13,8 @@
 // The contract is bitwise pinning, the same pattern as ForwardNaive vs
 // the GEMM lowering: every kernel here must produce exactly the counts
 // the scalar reference produces — PosOnes, NegOnes, Exact, and (through
-// Engine, which replays core.VDPC.DotLarge's chunk seams and ADC-noise
-// draw order) Est. The scalar path stays in the tree as the pinned
+// Engine, which shares core.VDPC.DotLarge's chunk seams and keyed
+// core.ADC conversion) Est. The scalar path stays in the tree as the pinned
 // reference; the equivalence tier in this package's tests sweeps
 // precisions, chunk seams and operand extremes asserting the two planes
 // agree bit for bit.

@@ -323,8 +323,7 @@ func TestHTTPDeterministicReplayBytes(t *testing.T) {
 	trace := testInputs(8, 89)
 	run := func(pool, maxBatch int) []string {
 		_, hs := httpServer(t, factory, Options{
-			InputShape: testShape, Deterministic: true,
-			PoolSize: pool, MaxBatch: maxBatch, QueueDepth: 64,
+			InputShape: testShape, PoolSize: pool, MaxBatch: maxBatch, QueueDepth: 64,
 		})
 		var bodies []string
 		for _, x := range trace {

@@ -3,6 +3,8 @@ package serve
 import (
 	"net"
 	"net/http"
+
+	"repro/internal/digest"
 )
 
 // ServedByHeader is the response header a fleet router stamps with the
@@ -12,30 +14,19 @@ import (
 // references this constant.
 const ServedByHeader = "X-Served-By"
 
-// mix64 is the splitmix64 finalizer: a fixed, well-diffusing 64-bit
-// hash (every input bit moves every output bit), so reducing it modulo
-// a small weight total stays unbiased even over consecutive indices —
-// which byte-oriented hashes like FNV do not guarantee.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // SparseInputs generates n deterministic inputs of the given size with a
 // controlled zero fraction: element j of input i is zero iff the hashed
-// fraction mix64(mix64(seed+i)^j) / 2^64 falls below sparsity, otherwise
+// fraction Mix64(Mix64(seed+i)^j) / 2^64 falls below sparsity, otherwise
 // a positive value in (0, 1]. Pure function of its arguments — the same
 // (n, size, sparsity, seed) always yields byte-identical inputs, so
 // benchmark legs and cached experiments replay exactly.
 func SparseInputs(n, size int, sparsity float64, seed uint64) [][]float32 {
 	xs := make([][]float32, n)
 	for i := range xs {
-		base := mix64(seed + uint64(i))
+		base := digest.Mix64(seed + uint64(i))
 		x := make([]float32, size)
 		for j := range x {
-			h := mix64(base ^ uint64(j))
+			h := digest.Mix64(base ^ uint64(j))
 			if float64(h)/float64(1<<63)/2 < sparsity {
 				continue
 			}

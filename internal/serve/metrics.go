@@ -29,14 +29,13 @@ func (s *Server) collectInto(f *telemetry.Families, labels ...telemetry.Label) {
 	}
 
 	req := f.Family("sconna_serve_requests_total", "counter",
-		"Requests by outcome: accepted admissions, rejected backpressure, draining refusals, served results, cancelled callers, expired deadlines, failed engine builds.")
+		"Requests by outcome: accepted admissions, rejected backpressure, draining refusals, served results, cancelled callers, expired deadlines.")
 	for _, oc := range []struct {
 		name string
 		n    uint64
 	}{
 		{"accepted", st.Accepted}, {"rejected", st.Rejected}, {"draining", st.Draining},
 		{"served", st.Served}, {"cancelled", st.Cancelled}, {"expired", st.Expired},
-		{"failed", st.Failed},
 	} {
 		req.Add(float64(oc.n), lab(telemetry.L("outcome", oc.name))...)
 	}

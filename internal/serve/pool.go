@@ -9,15 +9,14 @@ import (
 )
 
 // Engine is one pooled inference unit: a factory-built DotEngine paired
-// with the batch scratch that serves it. The SCONNA engine is stateful
-// (its VDPC advances an ADC-noise stream per dot product) and the
-// scratch holds per-stream gather buffers, so the pair moves through the
-// pool as a unit and is owned by exactly one goroutine between Get and
-// Put — which is what keeps the serving plane -race clean.
+// with the batch scratch that serves it. Engines compute pure functions
+// of their operands, but both halves hold scratch (the SC engine's
+// weight packs and converter row state, the scratch's gather buffers),
+// so the pair moves through the pool as a unit and is owned by exactly
+// one goroutine between Get and Put — which is what keeps the serving
+// plane -race clean.
 type Engine struct {
-	// ID is the engine's pool slot, which also seeded its factory build:
-	// engine i is factory(i), so a pool realizes the same set of noise
-	// streams on every start.
+	// ID is the engine's pool slot: engine i is factory(i).
 	ID int
 	// Dot is the dot-product substrate.
 	Dot quant.DotEngine

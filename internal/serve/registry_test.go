@@ -219,7 +219,7 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 // compatibility contract for existing clients.
 func TestRegistryLegacyAliasByteCompatible(t *testing.T) {
 	factory := quant.SconnaEngineFactory(testCoreConfig())
-	opts := Options{InputShape: testShape, Deterministic: true, PoolSize: 2, MaxBatch: 4, QueueDepth: 64}
+	opts := Options{InputShape: testShape, PoolSize: 2, MaxBatch: 4, QueueDepth: 64}
 	trace := testInputs(6, 107)
 
 	collect := func(url string) []string {
@@ -277,7 +277,7 @@ func TestRegistryDeterministicReplayPerModel(t *testing.T) {
 	wantB := reference(testNetB(t), factoryB, traceB)
 
 	for _, pool := range []int{1, 2, 4} {
-		opts := Options{InputShape: testShape, Deterministic: true, PoolSize: pool, MaxBatch: 4, QueueDepth: 64}
+		opts := Options{InputShape: testShape, PoolSize: pool, MaxBatch: 4, QueueDepth: 64}
 		reg := newTestRegistry(t)
 		a, err := reg.Register("alpha", testNet(t), factoryA, opts)
 		if err != nil {

@@ -5,10 +5,10 @@
 //
 // Three pieces cooperate:
 //
-//   - An engine Pool owns N factory-built SCONNA engines, each paired
-//     with private scratch buffers, checked out per micro-batch — the
-//     serving-time form of the engine-per-shard ownership rule that
-//     keeps stateful VDPCs single-goroutine.
+//   - An engine Pool owns N factory-built engines, built once at startup,
+//     each paired with private scratch buffers and checked out per
+//     micro-batch — the serving-time form of the engine-per-shard
+//     ownership rule that keeps engine scratch single-goroutine.
 //
 //   - A micro-batcher coalesces individual classify requests from a
 //     bounded queue into batches (up to MaxBatch, waiting at most
@@ -28,14 +28,13 @@
 // a byte-compatible alias for the default model, and hot
 // Register/Unregister with per-model graceful drain.
 //
-// Two serving modes trade replay stability against throughput. In the
-// default throughput mode every batch runs on one pooled engine, so a
-// stateful engine's noise stream depends on how traffic happened to
-// batch. Deterministic mode instead derives one fresh engine per request
-// from its arrival index (factory(seq)), making every response a pure
-// function of (network, input, seq) — bit-identical when a recorded
-// trace is replayed, at any pool size and any batching (pinned by the
-// replay tests).
+// There is one serving mode. Every engine computes each dot product as a
+// pure function of its operands (a noisy ADC keys its error by them), so
+// a response's logits are a pure function of (network, input): the same
+// at any arrival seq, pool size, pool slot, batch composition or shard
+// count, and a recorded trace replays bit-identically (pinned by the
+// replay tests). New checks the network against the served input shape
+// up front, so a mis-chained artifact is refused at registration.
 package serve
 
 import (
@@ -89,10 +88,6 @@ type Options struct {
 	QueueDepth int
 	// PoolSize is the engine-pool size (<= 0 selects GOMAXPROCS).
 	PoolSize int
-	// Deterministic selects replay-stable serving: request seq drives a
-	// fresh factory(seq) engine instead of a pooled stream (see the
-	// package comment for the trade-off).
-	Deterministic bool
 	// InputShape is the tensor shape every classify input must carry
 	// (nil selects 1x16x16, the procedural dataset's shape).
 	InputShape []int
@@ -137,8 +132,7 @@ type Options struct {
 
 // Result is one classify outcome.
 type Result struct {
-	// Seq is the request's arrival index — in deterministic mode also
-	// the seed index of the engine that served it.
+	// Seq is the request's arrival index.
 	Seq uint64 `json:"seq"`
 	// Class is the argmax logit index, named by ClassName when the
 	// server was configured with class names.
@@ -146,10 +140,6 @@ type Result struct {
 	ClassName string `json:"class_name,omitempty"`
 	// Logits holds the raw logits (omitted on the wire unless asked).
 	Logits []float32 `json:"logits,omitempty"`
-	// Engine identifies the arithmetic stream: the pool slot in
-	// throughput mode, the seq-derived engine index in deterministic
-	// mode (so responses stay replay-stable at any pool size).
-	Engine int `json:"engine"`
 }
 
 // request is one queued classify call; done is its future — shared by
@@ -178,14 +168,13 @@ type outcome struct {
 // Server is the micro-batching inference service.
 type Server struct {
 	qn      *quant.Network
-	factory quant.EngineFactory
 	opts    Options
 	pool    *Pool
 	queue   chan *request
 	batches chan []*request
 
 	// enqMu serializes admissions so arrival order, seq assignment and
-	// queue order agree — the property deterministic replay relies on.
+	// queue order agree.
 	enqMu   sync.Mutex
 	nextSeq uint64
 
@@ -209,7 +198,6 @@ type Server struct {
 	served    atomic.Uint64
 	cancelled atomic.Uint64
 	expired   atomic.Uint64
-	failed    atomic.Uint64
 	nbatches  atomic.Uint64
 	batchMu   sync.Mutex
 	batchHist []uint64
@@ -223,9 +211,9 @@ type Server struct {
 	ratePrev   float64
 }
 
-// New builds and starts a Server over the quantized network. factory
-// seeds both the engine pool (engine i = factory(i)) and, in
-// deterministic mode, the per-request engines (factory(seq)).
+// New builds and starts a Server over the quantized network, with a pool
+// of engines built once through factory (engine i = factory(i)). It
+// fails when the network does not fit the served input shape.
 func New(qn *quant.Network, factory quant.EngineFactory, opts Options) (*Server, error) {
 	if qn == nil {
 		return nil, errors.New("serve: nil network")
@@ -243,13 +231,15 @@ func New(qn *quant.Network, factory quant.EngineFactory, opts Options) (*Server,
 	if opts.InputShape == nil {
 		opts.InputShape = []int{1, 16, 16}
 	}
+	if _, err := qn.OutputShape(opts.InputShape); err != nil {
+		return nil, fmt.Errorf("serve: network does not fit input shape %v: %w", opts.InputShape, err)
+	}
 	pool, err := NewPool(opts.PoolSize, factory)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		qn:        qn,
-		factory:   factory,
 		opts:      opts,
 		pool:      pool,
 		queue:     make(chan *request, opts.QueueDepth),
@@ -528,31 +518,6 @@ func (s *Server) runBatch(batch []*request) {
 		return
 	}
 
-	var engines []quant.DotEngine
-	if s.opts.Deterministic {
-		// Engines derive per seq; a factory error (a real failure, or a
-		// chaos-injected one) fails only its own request. Survivors in
-		// the same micro-batch keep exactly their factory(seq) engines,
-		// so their results stay bit-identical to a fault-free replay.
-		kept := exec[:0]
-		engines = make([]quant.DotEngine, 0, len(exec))
-		for _, r := range exec {
-			e, err := s.factory(int(r.seq))
-			if err != nil {
-				s.failed.Add(1)
-				r.sp.Finish("failed")
-				r.done <- outcome{idx: r.idx, err: fmt.Errorf("serve: building engine for seq %d: %w", r.seq, err)}
-				continue
-			}
-			kept = append(kept, r)
-			engines = append(engines, e)
-		}
-		exec = kept
-		if len(exec) == 0 {
-			return
-		}
-	}
-
 	if s.tel != nil {
 		for _, r := range exec {
 			r.sp.Mark(telemetry.StageAssemble)
@@ -572,15 +537,11 @@ func (s *Server) runBatch(batch []*request) {
 	for i, r := range exec {
 		xs[i] = r.x
 	}
-	if !s.opts.Deterministic {
-		engines = []quant.DotEngine{eng.Dot}
-	}
 
 	// A nil recorder keeps accounting zero-cost; a live one is atomic
 	// and safe to share across all pooled scratches.
 	eng.Scratch.Ops = s.ops
-	outs := s.qn.ForwardBatch(xs, engines, eng.Scratch)
-	engineID := eng.ID
+	outs := s.qn.ForwardBatch(xs, []quant.DotEngine{eng.Dot}, eng.Scratch)
 	s.pool.Put(eng)
 	if s.tel != nil {
 		for _, r := range exec {
@@ -598,12 +559,6 @@ func (s *Server) runBatch(batch []*request) {
 			Seq:    r.seq,
 			Class:  logits.ArgMax(),
 			Logits: logits.Data,
-			Engine: engineID,
-		}
-		if s.opts.Deterministic {
-			// The pool slot is a scheduling artifact; the seq-derived
-			// engine is the arithmetic identity replay must preserve.
-			res.Engine = int(r.seq)
 		}
 		if res.Class < len(s.opts.ClassNames) {
 			res.ClassName = s.opts.ClassNames[res.Class]
@@ -717,7 +672,6 @@ func (s *Server) Stats() Stats {
 		Served:         s.served.Load(),
 		Cancelled:      s.cancelled.Load(),
 		Expired:        s.expired.Load(),
-		Failed:         s.failed.Load(),
 		Batches:        s.nbatches.Load(),
 		BatchSizes:     hist,
 		QueueDepth:     len(s.queue),
@@ -729,6 +683,5 @@ func (s *Server) Stats() Stats {
 		LatencyP99:     snap.Quantile(0.99),
 		LatencyP999:    snap.Quantile(0.999),
 		LatencyBuckets: latencyBuckets(snap),
-		Deterministic:  s.opts.Deterministic,
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
+
+	"repro/internal/digest"
 )
 
 // SplitModelHeader is the response header a traffic-split alias stamps
@@ -35,7 +37,7 @@ func (sp *split) variant(k uint64) string {
 	// Map the hash to [0, 1) with 53-bit precision (an exact float64)
 	// and compare against the B fraction: fracB of the hash space —
 	// hence, in the limit, fracB of the traffic — goes to B.
-	if float64(mix64(sp.seed^k)>>11)/float64(1<<53) < sp.fracB {
+	if float64(digest.Mix64(sp.seed^k)>>11)/float64(1<<53) < sp.fracB {
 		return sp.b
 	}
 	return sp.a

@@ -22,7 +22,6 @@ type Stats struct {
 	Served    uint64 `json:"served"`
 	Cancelled uint64 `json:"cancelled"`
 	Expired   uint64 `json:"deadline_expired"`
-	Failed    uint64 `json:"failed"`
 	// Batches counts executed micro-batches; BatchSizes[i] is how many
 	// of them carried i+1 requests (the batch-size histogram).
 	Batches    uint64   `json:"batches"`
@@ -44,8 +43,6 @@ type Stats struct {
 	LatencyP99     time.Duration   `json:"latency_p99_ns"`
 	LatencyP999    time.Duration   `json:"latency_p999_ns"`
 	LatencyBuckets []LatencyBucket `json:"latency_buckets,omitempty"`
-	// Deterministic reports the serving mode.
-	Deterministic bool `json:"deterministic"`
 	// Ops is the op/energy accounting summary, present only when the
 	// server was built with Options.OpAccounting.
 	Ops *OpStats `json:"ops,omitempty"`

@@ -40,8 +40,7 @@ func scrapeMetrics(t *testing.T, base string) string {
 // lines match exactly — scrapers and dashboards key on both.
 func TestMetricsGolden(t *testing.T) {
 	s := newTestServer(t, quant.SharedEngine(quant.ExactEngine{}), Options{
-		InputShape: testShape, Deterministic: true,
-		PoolSize: 1, MaxBatch: 1, QueueDepth: 8,
+		InputShape: testShape, PoolSize: 1, MaxBatch: 1, QueueDepth: 8,
 		Telemetry: &telemetry.Options{},
 	})
 	for _, x := range testInputs(5, 31) {
@@ -152,8 +151,7 @@ func TestTraceDeterminismAcrossPools(t *testing.T) {
 	}
 	run := func(pool int) map[uint64]spanKey {
 		s := newTestServer(t, factory, Options{
-			InputShape: testShape, Deterministic: true,
-			PoolSize: pool, MaxBatch: 4, QueueDepth: 32,
+			InputShape: testShape, PoolSize: pool, MaxBatch: 4, QueueDepth: 32,
 			Telemetry: &telemetry.Options{TraceRing: 32},
 		})
 		if _, err := s.SubmitBatch(context.Background(), trace); err != nil {
@@ -209,8 +207,7 @@ func TestHTTPReplayBytesTelemetryInvariant(t *testing.T) {
 	trace := testInputs(8, 89)
 	run := func(pool, maxBatch int, tel *telemetry.Options) []string {
 		_, hs := httpServer(t, factory, Options{
-			InputShape: testShape, Deterministic: true,
-			PoolSize: pool, MaxBatch: maxBatch, QueueDepth: 64,
+			InputShape: testShape, PoolSize: pool, MaxBatch: maxBatch, QueueDepth: 64,
 			Telemetry: tel,
 		})
 		var bodies []string

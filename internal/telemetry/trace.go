@@ -19,6 +19,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/digest"
 )
 
 // Stage enumerates the serving pipeline stages a request moves through,
@@ -65,23 +67,12 @@ func (s Stage) String() string {
 // histogram export iterates it so metric ordering is stable.
 func StageNames() []string { return stageNames[:] }
 
-// mix64 is the splitmix64 finalizer — the same fixed, well-diffusing
-// 64-bit hash the serving plane's traffic mixing and chaos schedules
-// use, so trace IDs are a pure function of the arrival seq and replay
-// stably.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // TraceID derives the deterministic trace ID for an arrival seq:
 // splitmix64 of the seq, rendered as 16 hex digits. The load
 // generator derives its client-side IDs the same way from the global
 // request index, so client and server traces join on format.
 func TraceID(seq uint64) string {
-	return fmt.Sprintf("%016x", mix64(seq))
+	return fmt.Sprintf("%016x", digest.Mix64(seq))
 }
 
 // TraceIDHeader is the HTTP header load-generation clients stamp their

@@ -254,9 +254,8 @@ func QuantizeNetwork(src *nn.Network, bits int, calibration []nn.Example) (*Quan
 }
 
 // SconnaDotEngineFactory returns an EngineFactory building one SCONNA
-// functional engine per slot, with slot-derived ADC seeds — the engine
-// the serving plane pools (and, in deterministic mode, derives per
-// request).
+// functional engine per slot, every one configured as cfg — the engine
+// the serving plane pools.
 func SconnaDotEngineFactory(cfg CoreConfig) EngineFactory {
 	return quant.SconnaEngineFactory(cfg)
 }
@@ -296,12 +295,6 @@ func LoadQuantNetworkFile(path string) (*QuantNetwork, error) { return quant.Loa
 
 // Resilience plane (fault injection, retry, circuit breaking).
 type (
-	// ChaosOptions seeds a deterministic engine-level fault schedule:
-	// build errors, latency spikes, and wrong-but-flagged results, each
-	// a pure function of (seed, engine seq).
-	ChaosOptions = resilience.ChaosOptions
-	// ChaosFault is one scheduled fault kind (none/err/slow/wrong).
-	ChaosFault = resilience.Fault
 	// HTTPChaosOptions seeds deterministic HTTP-level fault injection
 	// (flagged 500s and stalls) for Middleware.
 	HTTPChaosOptions = resilience.HTTPChaosOptions
@@ -317,14 +310,6 @@ type (
 	RetryClient = resilience.RetryClient
 )
 
-// ChaosEngineFactory wraps an engine factory with the seeded fault
-// schedule of opts: build i fails, stalls, or corrupts exactly when
-// opts.FaultFor(i) says so, so a chaos run replays byte-for-byte at
-// the same seed.
-func ChaosEngineFactory(inner EngineFactory, opts ChaosOptions) EngineFactory {
-	return resilience.ChaosEngineFactory(inner, opts)
-}
-
 // ChaosMiddleware wraps an HTTP handler with seeded request-level fault
 // injection (flagged 500s and stalls); at zero rates it returns the
 // handler untouched.
@@ -335,8 +320,7 @@ func ChaosMiddleware(h http.Handler, opts HTTPChaosOptions) http.Handler {
 // Telemetry plane (per-request tracing, Prometheus /metrics, pprof).
 type (
 	// TelemetryOptions arms a server's telemetry plane when set on
-	// ServeOptions.Telemetry; nil keeps the zero-cost Nop path that
-	// preserves deterministic-replay byte-identity.
+	// ServeOptions.Telemetry; nil keeps the zero-cost Nop path.
 	TelemetryOptions = telemetry.Options
 	// TelemetryPlane is one server's armed trace/histogram state,
 	// reachable via (*InferenceServer).Telemetry.

@@ -196,34 +196,6 @@ func TestFacadeRunners(t *testing.T) {
 }
 
 func TestFacadeResilience(t *testing.T) {
-	// The engine-level fault schedule is a pure function of (seed, seq):
-	// two options values with the same seed agree everywhere, and the
-	// wrapped factory realizes exactly what the schedule promises.
-	chaos := ChaosOptions{Seed: 3, ErrRate: 0.5, SkipSeqs: 2}
-	var faulted int
-	for seq := uint64(0); seq < 64; seq++ {
-		f := chaos.FaultFor(seq)
-		if seq < 2 && f != 0 {
-			t.Fatalf("seq %d inside SkipSeqs faulted (%v)", seq, f)
-		}
-		if f != (ChaosOptions{Seed: 3, ErrRate: 0.5, SkipSeqs: 2}).FaultFor(seq) {
-			t.Fatalf("schedule not replayable at seq %d", seq)
-		}
-		if f != 0 {
-			faulted++
-		}
-	}
-	if faulted == 0 {
-		t.Fatal("50% error rate scheduled no faults over 64 seqs")
-	}
-	factory := ChaosEngineFactory(SharedDotEngine(ExactDotEngine{}), chaos)
-	for seq := 0; seq < 64; seq++ {
-		_, err := factory(seq)
-		if wantErr := chaos.FaultFor(uint64(seq)) == 1; (err != nil) != wantErr {
-			t.Fatalf("factory(%d) err=%v, schedule says fault=%v", seq, err, chaos.FaultFor(uint64(seq)))
-		}
-	}
-
 	// HTTP chaos + retrying client: every budgeted injected 500 is
 	// flagged and recovered within the retry budget.
 	var served int
