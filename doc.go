@@ -39,7 +39,10 @@
 //   - Functional plane: every SCONNA engine computes a pure function of
 //     its operands — the ADC error of a row is keyed by (ADCSeed, a
 //     digest of the DIV and DKV) through core.ADC — but holds scratch,
-//     so it is never shared across goroutines.
+//     so it is never shared across goroutines. A conv output's DIV and
+//     DKV are the paper's full S = K*K*D point vectors, zero-padded at
+//     the borders (internal/mapper, Sec. II-B), so its psum chunk seams
+//     fall where the accelerator's would.
 //     quant.(*Network).EvaluateParallel partitions examples into
 //     fixed-size shards (quant.EvalShardSize, a property of the
 //     evaluation, not of the machine) and builds one engine per shard
@@ -103,9 +106,10 @@
 //     the forward pass is then one cache-blocked GEMM per layer, the
 //     weight gradient one GEMM against the same patch matrix, and the
 //     input gradient a scatter through the same position lists. The
-//     quantized plane (internal/quant) lowers the same way in integer
-//     space, gathering each pixel's operand vector once instead of once
-//     per output channel.
+//     quantized plane (internal/quant) lowers each conv layer, per
+//     example, to one zero-padded full-window integer operand block
+//     (one S-lane row per output pixel, in weight-row order) and one
+//     engine product against the weight rows as stored.
 //
 //   - Determinism contract: float addition is not associative, so the
 //     GEMM keeps the reference reduction order — accumulators start at
@@ -115,9 +119,12 @@
 //     kept as executable references and pinned by equivalence tests).
 //     The quantized plane has one lowering, quant.(*Network).ForwardBatch
 //     (Forward is its one-example case). Per example it hands the engine
-//     exactly ForwardNaive's operand vectors, and every engine is a
-//     pure function of its operands, so an example's logits equal the
-//     reference on any engine, whatever batch it is served in.
+//     exactly ForwardNaive's operand vectors — the mapper's zero-padded
+//     full windows — and every engine is a pure function of its
+//     operands, so an example's logits equal the reference on any
+//     engine, whatever batch it is served in. Exact and ideal-ADC
+//     results depend only on nonzero lanes, so they also equal the
+//     earlier padding-truncated reference (a test pins it).
 //
 //   - Scratch ownership: float im2col buffers are layer-local (layer
 //     instances are single-goroutine by contract); integer gather
@@ -147,23 +154,24 @@
 // gates a sparsity-exploiting gather inside each lowering:
 //
 //   - Compacted gather: when a layer's quantized input is sparse enough
-//     (zero fraction >= matmul.SparseThreshold), the im2col gather
-//     compacts each pixel's operand vector to its nonzero lanes
-//     (matmul.Im2colSparse for the float plane, quant's gatherSparse in
-//     integer space — values, within-row weight slots and per-channel
-//     segment bounds), and the forward runs shorter dot products in the
-//     unchanged (output channel, pixel) order, eliding all-zero calls
-//     entirely. Per-layer work drops to O(nonzeros) instead of
-//     O(dense lanes).
+//     (zero fraction >= matmul.SparseThreshold), the float plane's
+//     im2col gather compacts each pixel's operand vector to its nonzero
+//     lanes (matmul.Im2colSparse). The integer plane goes
+//     input-stationary (quant's sparseForward): each nonzero activation
+//     is one engine tile against its channel's weights at every kernel
+//     tap, and the products add into the outputs whose windows read it.
+//     Per-layer work drops to O(nonzeros) instead of O(dense lanes).
 //
 //   - ZeroSkipper determinism contract: engines opt into the sparse
 //     path by implementing quant.ZeroSkipper with SkipsZeros() == true,
-//     which asserts two clauses — (1) Dot is a pure function of the
+//     which asserts three clauses — (1) Dot is a pure function of the
 //     nonzero-DIV lanes, (2) an all-zero call returns 0 and may be
-//     elided. quant.ExactEngine satisfies both trivially; the packed
+//     elided, (3) Dot is additive over a split of the lanes.
+//     quant.ExactEngine satisfies all three trivially; the packed
 //     sckernel tier satisfies them exactly when its ADC is ideal
-//     (lane-local floor arithmetic, seam-independent ideal conversion,
-//     capacity check monotone in lanes) and opts in only then. Noisy
+//     (lane-local floor arithmetic, seam-independent linear ideal
+//     conversion, capacity check monotone in lanes) and opts in only
+//     then. Noisy
 //     engines key their ADC error by every lane, zeros included, so the
 //     lowering hands them the dense operand vectors unconditionally.
 //     Equivalence tests pin both sides: sparse == dense bitwise for
@@ -218,11 +226,11 @@
 //     full network forwards under -race).
 //
 //   - Serving integration: sckernel.Engine implements quant.DotEngine
-//     and the weight-stationary quant.RowDotter boundary: DotRows packs
-//     a weight vector once (PackDKV per psum chunk) and runs it against
-//     every operand row of a micro-batch, bit-identical to the per-row
-//     Dot loop in any row order, ADC error included; the lowering
-//     passes each row's operand digest (core.VecKey) once per layer.
+//     and the layer-tile quant.TileDotter boundary: DotTile packs each
+//     weight vector of a tile once, digests each operand row once
+//     (core.VecKey), compacts each row's nonzero lanes once per psum
+//     chunk and runs every weight vector over that list — bit-identical
+//     to the per-(row, DKV) Dot loop in any order, ADC error included.
 //     sckernel.EngineFactory drops into serve pools (sconnaserve
 //     -engine sconna-packed) configured like the scalar factory, so
 //     replay stays bit-identical at any pool size.
@@ -255,12 +263,13 @@
 //     request, greedily drains whatever else is pending and optionally
 //     waits up to MaxWait for the batch to fill, then a worker runs the
 //     batch through quant.(*Network).ForwardBatch on a pooled engine.
-//     One batched pass gathers each layer's operand rows batch-wide and
-//     each weight vector once per micro-batch; a shared engine that
-//     implements quant.RowDotter then takes one DotRows call per
-//     (layer, output channel, pixel), or per run of full-window
-//     pixels, covering every dense example (other engines get the same
-//     rows as per-row Dot calls). A full queue rejects instead of
+//     Each conv layer runs example by example: one operand block per
+//     example, bounded by one example rather than the batch, and one
+//     quant.TileDotter DotTile call against every weight row (one per
+//     channel for a depthwise conv; the exact engine runs it as a
+//     register-tiled integer GEMM). A dense layer is one tile over the
+//     whole batch. Engines without the capability get the same operands
+//     as one Dot per (row, weight row). A full queue rejects instead of
 //     buffering (ErrOverloaded, HTTP 429 with Retry-After); requests
 //     whose context ends while queued are skipped, not computed.
 //

@@ -88,7 +88,7 @@ func (a *ADC) Convert(pos, neg, scale int) int {
 
 // VecKey digests one operand vector: its length and every lane value.
 // It is the half of a row key a caller can compute once and reuse for
-// every DKV the same DIV meets (see quant.RowDotter). Lanes feed four
+// every DKV the same DIV meets (see quant.TileDotter). Lanes feed four
 // independent xor-multiply chains, so the multiplies overlap instead of
 // waiting on each other (about 3x faster than one chain).
 func VecKey(v []int) uint64 {

@@ -1,16 +1,14 @@
-// Package mapper implements the "preprocessing and mapping unit" of the
-// system-level SCONNA accelerator (Fig. 8): it decomposes convolution
-// operands into decomposed input vectors (DIVs) and decomposed kernel
-// vectors (DKVs) of at most N points (Sec. II-B), and assigns the
-// resulting (kernel, chunk) pairs to VDPEs under the weight-stationary
-// dataflow the evaluation uses.
+// Package mapper implements the operand side of the "preprocessing and
+// mapping unit" of the system-level SCONNA accelerator (Fig. 8): it
+// flattens a convolution's input window and kernel into full S = K*K*D
+// point vectors, zero-padding out-of-bounds taps, and decomposes them
+// into input and kernel vectors (DIVs and DKVs) of at most N points
+// (Sec. II-B). quant.ForwardNaive, the reference every quantized
+// lowering is pinned against, computes each conv output from these
+// vectors.
 package mapper
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "fmt"
 
 // Conv describes the convolution being mapped.
 type Conv struct {
@@ -108,98 +106,6 @@ func Chunks(s, n int) []Chunk {
 		}
 		out = append(out, Chunk{Index: idx, Lo: lo, Hi: hi})
 		idx++
-	}
-	return out
-}
-
-// Assignment pins one (kernel, chunk) pair to a VDPE for a reload round.
-type Assignment struct {
-	Kernel int
-	Chunk  Chunk
-	VDPE   int
-	Round  int
-}
-
-// Plan is a weight-stationary mapping of a convolution onto an array of
-// VDPEs.
-type Plan struct {
-	Conv        Conv
-	N           int // VDPE size
-	VDPEs       int // array size
-	Assignments []Assignment
-	Rounds      int
-	// Replicas is the position-tiling factor: when the chunk set
-	// underfills the array, the mapper replicates it and splits output
-	// positions across replicas.
-	Replicas int
-}
-
-// NewPlan maps the convolution onto `vdpes` VDPEs of size n.
-func NewPlan(c Conv, n, vdpes int) (*Plan, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if n < 1 || vdpes < 1 {
-		return nil, fmt.Errorf("mapper: invalid array n=%d vdpes=%d", n, vdpes)
-	}
-	chunks := Chunks(c.S(), n)
-	p := &Plan{Conv: c, N: n, VDPEs: vdpes}
-	slot := 0
-	round := 0
-	for oc := 0; oc < c.OutC; oc++ {
-		for _, ch := range chunks {
-			p.Assignments = append(p.Assignments, Assignment{
-				Kernel: oc, Chunk: ch, VDPE: slot, Round: round,
-			})
-			slot++
-			if slot == vdpes {
-				slot = 0
-				round++
-			}
-		}
-	}
-	p.Rounds = round
-	if slot != 0 {
-		p.Rounds++
-	}
-	total := c.OutC * len(chunks)
-	p.Replicas = 1
-	if total < vdpes {
-		p.Replicas = vdpes / total
-	}
-	return p, nil
-}
-
-// ChunkCount returns C = ceil(S/N).
-func (p *Plan) ChunkCount() int { return (p.Conv.S() + p.N - 1) / p.N }
-
-// PsumsPerOutput returns the partial sums each output point generates.
-func (p *Plan) PsumsPerOutput() int { return p.ChunkCount() }
-
-// VDPEOf returns the (vdpe, round) holding a kernel's chunk.
-func (p *Plan) VDPEOf(kernel, chunk int) (vdpe, round int, err error) {
-	c := p.ChunkCount()
-	if kernel < 0 || kernel >= p.Conv.OutC || chunk < 0 || chunk >= c {
-		return 0, 0, fmt.Errorf("mapper: (kernel %d, chunk %d) out of range", kernel, chunk)
-	}
-	flat := kernel*c + chunk
-	return flat % p.VDPEs, flat / p.VDPEs, nil
-}
-
-// QuantizeActivations converts a float activation tensor to unsigned
-// qmax-scale integers with the given scale (clamping negatives to zero,
-// the post-ReLU contract).
-func QuantizeActivations(x *tensor.T, scale float32, qmax int) []int {
-	out := make([]int, x.Len())
-	for i, v := range x.Data {
-		q := int(v/scale + 0.5)
-		if q < 0 {
-			q = 0
-		}
-		if q > qmax {
-			q = qmax
-		}
-		out[i] = q
 	}
 	return out
 }

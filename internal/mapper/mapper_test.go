@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
-	"repro/internal/tensor"
 )
 
 func TestConvGeometry(t *testing.T) {
@@ -65,62 +64,8 @@ func TestChunksPartition(t *testing.T) {
 	}
 }
 
-func TestPlanAssignmentsCoverEverything(t *testing.T) {
-	c := Conv{InC: 16, H: 8, W: 8, OutC: 10, K: 3, Stride: 1, Pad: 1}
-	p, err := NewPlan(c, 44, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// S=144 -> C=4 chunks; 10 kernels x 4 chunks = 40 assignments over 8
-	// VDPEs -> 5 rounds.
-	if p.ChunkCount() != 4 {
-		t.Fatalf("C=%d want 4", p.ChunkCount())
-	}
-	if len(p.Assignments) != 40 {
-		t.Fatalf("assignments=%d want 40", len(p.Assignments))
-	}
-	if p.Rounds != 5 {
-		t.Fatalf("rounds=%d want 5", p.Rounds)
-	}
-	seen := map[[2]int]bool{}
-	for _, a := range p.Assignments {
-		key := [2]int{a.Kernel, a.Chunk.Index}
-		if seen[key] {
-			t.Fatalf("duplicate assignment %v", key)
-		}
-		seen[key] = true
-		if a.VDPE < 0 || a.VDPE >= p.VDPEs || a.Round < 0 || a.Round >= p.Rounds {
-			t.Fatalf("assignment out of range: %+v", a)
-		}
-		vd, rd, err := p.VDPEOf(a.Kernel, a.Chunk.Index)
-		if err != nil || vd != a.VDPE || rd != a.Round {
-			t.Fatalf("VDPEOf disagrees with plan: %+v vs (%d,%d)", a, vd, rd)
-		}
-	}
-	if len(seen) != 40 {
-		t.Fatal("missing assignments")
-	}
-	if _, _, err := p.VDPEOf(99, 0); err == nil {
-		t.Fatal("expected range error")
-	}
-}
-
-func TestPlanReplication(t *testing.T) {
-	c := Conv{InC: 1, H: 8, W: 8, OutC: 2, K: 3, Stride: 1, Pad: 1}
-	p, err := NewPlan(c, 44, 64) // 2 kernels x 1 chunk over 64 VDPEs
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Replicas != 32 {
-		t.Fatalf("replicas=%d want 32", p.Replicas)
-	}
-	if p.PsumsPerOutput() != 1 {
-		t.Fatal("single chunk should need one psum")
-	}
-}
-
-// End-to-end: extracting DIV/DKV chunks per the plan and computing them
-// on a functional VDPE reproduces the exact convolution output (within
+// End-to-end: extracting DIV/DKV chunks and computing them on a
+// functional VDPE reproduces the exact convolution output (within
 // stream quantization) after psum reduction.
 func TestPlanComputesConvolution(t *testing.T) {
 	conv := Conv{InC: 2, H: 5, W: 5, OutC: 3, K: 3, Stride: 1, Pad: 1}
@@ -145,12 +90,8 @@ func TestPlanComputesConvolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewPlan(conv, ccfg.N, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.ChunkCount() != 3 {
-		t.Fatalf("C=%d want 3", plan.ChunkCount())
+	if c := len(Chunks(conv.S(), ccfg.N)); c != 3 {
+		t.Fatalf("C=%d want 3", c)
 	}
 
 	oy, ox := 2, 3
@@ -200,26 +141,5 @@ func TestExtractDIVDepthwise(t *testing.T) {
 	qx := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	if got := conv.ExtractDIV(qx, 1, 0, 1); len(got) != 1 || got[0] != 6 {
 		t.Fatalf("depthwise DIV=%v want [6]", got)
-	}
-}
-
-func TestQuantizeActivations(t *testing.T) {
-	x := tensor.FromSlice([]float32{-1, 0, 0.5, 3}, 4)
-	q := QuantizeActivations(x, 1.0/255, 255)
-	if q[0] != 0 || q[3] != 255 {
-		t.Fatalf("q=%v", q)
-	}
-	if q[2] < 126 || q[2] > 129 {
-		t.Fatalf("mid value %d", q[2])
-	}
-}
-
-func TestNewPlanValidation(t *testing.T) {
-	c := Conv{InC: 1, H: 4, W: 4, OutC: 1, K: 3, Stride: 1, Pad: 1}
-	if _, err := NewPlan(c, 0, 4); err == nil {
-		t.Fatal("expected n error")
-	}
-	if _, err := NewPlan(Conv{}, 4, 4); err == nil {
-		t.Fatal("expected geometry error")
 	}
 }

@@ -32,10 +32,12 @@ func (p *Pos) NumOffs() int { return p.start[p.NumPix()] }
 
 // SparseThreshold is the input zero fraction at which the sparse
 // lowering is worth taking: below it the per-entry index bookkeeping
-// costs more than the skipped multiply-adds. 0.6 is conservative — the
-// crossover sits near 0.5 for both the float gather kernels and the
-// engine-mediated quantized path — and keeps half-dense inputs on the
-// contiguous dense kernels.
+// costs more than the skipped multiply-adds. 0.6 is conservative for
+// the float gather kernels, whose crossover sits near 0.5, and keeps
+// half-dense inputs on the contiguous dense kernels. Against the
+// quantized plane's register-tiled integer GEMM the input-stationary
+// sparse path breaks even only near 0.75 (single 3x3 conv, 2-vCPU Xeon),
+// so between 0.6 and 0.75 the quantized plane takes the slower path.
 const SparseThreshold = 0.6
 
 // Im2colSparse gathers src (CHW, inC x H x W) into the column-compacted

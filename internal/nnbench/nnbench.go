@@ -166,14 +166,17 @@ func ConvForwardSparse(sparsity float64) func(*testing.B) {
 	}
 }
 
-// denseOnlyExact computes exact integer dot products without
-// implementing quant.ZeroSkipper, so it pins the dense lowering: the
-// dense reference leg of the sparsity sweep runs identical arithmetic
-// with zero skipping off.
+// denseOnlyExact is the exact engine without quant.ZeroSkipper, so it
+// pins the dense lowering: the dense reference leg of the sparsity sweep
+// runs the exact engine's own tile GEMM — the dense path ExactEngine
+// takes below the sparsity gate — with zero skipping off.
 type denseOnlyExact struct{}
 
 func (denseOnlyExact) Name() string           { return "exact-dense" }
 func (denseOnlyExact) Dot(div, dkv []int) int { return quant.ExactEngine{}.Dot(div, dkv) }
+func (denseOnlyExact) DotTile(rows, dkvs []int, s int, out []int) {
+	quant.ExactEngine{}.DotTile(rows, dkvs, s, out)
+}
 
 // benchQuantSparse builds a single quantized convolution on the golden
 // conv shape — the layer whose input sparsity the sweep controls

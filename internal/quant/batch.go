@@ -3,31 +3,34 @@ package quant
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/matmul"
 	"repro/internal/opcount"
 	"repro/internal/tensor"
 )
 
 // BatchScratch holds the reusable buffers of a quantized inference
-// stream: one slot of per-example state per batch position plus the
-// batch-wide operand buffers, which is where the batch amortization
-// lives — each layer's DKV vectors are gathered once per micro-batch
-// instead of once per example, and the dense examples' DIV rows sit side
-// by side so one engine call covers them all.
+// stream: the current example's quantized activations, the operand block
+// of its current layer and the engine results for that block, and the
+// sparse path's buffers. The lowering runs a micro-batch example by
+// example through each conv layer, so every buffer is bounded by one
+// example, not by the batch (the dense layer's block holds one row per
+// example).
 //
 // A BatchScratch belongs to one goroutine at a time, like the engine it
 // serves. The serving plane pairs one with each pooled engine;
 // EvaluateParallel keeps one per shard.
 type BatchScratch struct {
-	per   []slot
-	dkv   []int
-	rows  []int    // batch-wide integer im2col (DIV rows) of the current layer
-	keys  []uint64 // the rows' core.VecKey digests, for keyed-noise engines
-	ds    []int    // per-pixel row starts of a pixel-major im2col (npix+1)
-	acc   []int    // engine results of the current dotRows calls
-	xs    []*tensor.T
-	dense []int // examples on the dense path in the current layer
+	qx   []int // the current example's quantized activations
+	pad  []int // qx with a zero border
+	rows []int // operand block of the current (example, layer): one row per output pixel
+	acc  []int // engine results for the block, [DKV][row]
+	xs   []*tensor.T
+
+	// The sparse path's buffers (see sparseForward): per input channel
+	// its weights by (kernel tap, output channel), one activation's
+	// products, and the output rows and columns each input row and
+	// column reaches.
+	wtap, prod, span []int
 
 	// Ops, when non-nil, receives per-layer op tallies (dense-equivalent
 	// and executed) aggregated over the whole micro-batch; nil costs one
@@ -36,29 +39,9 @@ type BatchScratch struct {
 	Ops *opcount.Recorder
 }
 
-// slot is one example's per-layer state: its quantized activations and,
-// on the sparse path, their column-compacted gather (nonzero values,
-// their kernel slots and per-(pixel, channel) segment offsets; see
-// gatherSparse) with the DKV buffer its compacted dots fill.
-type slot struct {
-	qx   []int
-	sval []int
-	skk  []int
-	sseg []int
-	dkv  []int
-}
-
 // NewBatchScratch returns an empty batch scratch; buffers grow on first
 // use and are retained across calls.
 func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
-
-// slots returns n per-example slots, growing the pool as needed.
-func (s *BatchScratch) slots(n int) []slot {
-	if len(s.per) < n {
-		s.per = append(s.per, make([]slot, n-len(s.per))...)
-	}
-	return s.per[:n]
-}
 
 // Forward runs quantized inference on x through engine and returns float
 // logits: a one-example ForwardBatch with a private scratch. Repeated
@@ -80,16 +63,17 @@ func (q *Network) Forward(x *tensor.T, engine DotEngine) *tensor.T {
 // whatever else shares its batch and wherever it sits in it (pinned by
 // the equivalence and batch-composition tests).
 //
-// One batched pass gathers each layer's weight vectors (DKV) once per
-// micro-batch instead of once per example and, on an engine that
-// implements RowDotter, hands each DKV to the engine once with every
-// dense example's operand row for it — the weight-stationary
-// amortization the serving plane's micro-batcher exploits. For a
-// keyed-noise engine each row's digest is computed once per layer and
-// reused for every DKV the row meets. The engine-free layers run through
-// inference-only kernels (poolHalf, gapPool, in-place ReLU on internally
-// produced tensors) that are bit-identical to the nn training layers
-// ForwardNaive keeps.
+// Each conv layer lowers, per example, to one zero-padded full-window
+// operand block — a row of S = K*K*D lanes per output pixel, in the
+// weight-row order — and one engine product against every output
+// channel's weight row as stored: a single DotTile call on a TileDotter
+// (one per channel for a depthwise conv, whose rows differ per channel),
+// otherwise one Dot per (row, weight row). A dense layer is one product
+// over the whole batch, one row per example. A ReLU right after a conv
+// or dense layer is applied in that layer's epilogue. The engine-free
+// layers run through inference-only kernels (poolHalf, gapPool, in-place
+// ReLU on internally produced tensors) that are bit-identical to the nn
+// training layers ForwardNaive keeps.
 func (q *Network) ForwardBatch(xs []*tensor.T, engines []DotEngine, s *BatchScratch) []*tensor.T {
 	if len(xs) == 0 {
 		return nil
@@ -107,21 +91,21 @@ func (q *Network) ForwardBatch(xs []*tensor.T, engines []DotEngine, s *BatchScra
 	}
 	d := newDotter(engines[0])
 	qmax := int(1)<<uint(q.Bits) - 1
-	per := s.slots(len(xs))
 	if cap(s.xs) < len(xs) {
 		s.xs = make([]*tensor.T, len(xs))
 	}
 	cur := s.xs[:len(xs)]
 	copy(cur, xs)
 	owned := false // whether cur holds our tensors (not the caller's inputs)
-	for li, l := range q.layers {
+	for li := 0; li < len(q.layers); li++ {
+		l := q.layers[li]
+		// A ReLU right after an engine layer runs in its epilogue.
+		relu := (l.conv != nil || l.dense != nil) && li+1 < len(q.layers) && q.layers[li+1].relu
 		switch {
 		case l.conv != nil:
-			l.conv.forwardBatch(cur, d, qmax, per, s, li)
-			owned = true
+			l.conv.forwardBatch(cur, d, qmax, relu, s, li)
 		case l.dense != nil:
-			l.dense.forwardBatch(cur, d, qmax, s, li)
-			owned = true
+			l.dense.forwardBatch(cur, d, qmax, relu, s, li)
 		case l.relu:
 			for e, x := range cur {
 				if !owned {
@@ -130,25 +114,28 @@ func (q *Network) ForwardBatch(xs []*tensor.T, engines []DotEngine, s *BatchScra
 				}
 				reluInPlace(x)
 			}
-			owned = true
 			recordElt(s.Ops, li, reluOps(len(cur)*cur[0].Len()))
 		case l.pool:
 			for e, x := range cur {
 				cur[e] = poolHalf(x)
 			}
-			owned = true
 			recordElt(s.Ops, li, poolOps(len(cur)*cur[0].Len()))
 		case l.gap:
 			hw := cur[0].Shape[1] * cur[0].Shape[2]
 			for e, x := range cur {
 				cur[e] = gapPool(x)
 			}
-			owned = true
 			recordElt(s.Ops, li, gapOps(len(cur)*cur[0].Len(), hw))
 		case l.flat:
 			for e, x := range cur {
 				cur[e] = x.Reshape(x.Len()) // aliases: ownership carries
 			}
+			continue
+		}
+		owned = true
+		if relu {
+			li++
+			recordElt(s.Ops, li, reluOps(len(cur)*cur[0].Len()))
 		}
 	}
 	out := make([]*tensor.T, len(cur))
@@ -172,275 +159,273 @@ func sameShape(a, b []int) bool {
 }
 
 // dotter is ForwardBatch's engine with its capabilities resolved once
-// per batch: its RowDotter form, and whether its noise is keyed by
-// operand digests (a RowDotter that does not skip zeros), in which case
-// the lowering supplies each row's digest.
+// per batch: its TileDotter form and whether it skips zeros.
 type dotter struct {
 	eng   DotEngine
-	rd    RowDotter
+	td    TileDotter
 	skips bool
-	keyed bool
 }
 
 func newDotter(eng DotEngine) dotter {
 	d := dotter{eng: eng, skips: skipsZeros(eng)}
-	d.rd, _ = eng.(RowDotter)
-	d.keyed = d.rd != nil && !d.skips
+	d.td, _ = eng.(TileDotter)
 	return d
 }
 
-// dotRows sets out[i] = Dot(rows[i*n:(i+1)*n], dkv) with n = len(dkv):
-// one DotRows call on a RowDotter, otherwise one Dot call per row. keys
-// holds the rows' digests for a keyed engine and is nil otherwise.
-func (d dotter) dotRows(rows, dkv []int, keys []uint64, out []int) {
-	if d.rd != nil {
-		d.rd.DotRows(rows, dkv, keys, out)
+// dotTile sets out[j*r+i] = Dot(row i, DKV j) for the r rows of s lanes
+// in rows and the DKVs of s lanes in dkvs: one DotTile call on a
+// TileDotter, otherwise one Dot call per (row, DKV), DKV-major —
+// ForwardNaive's (output channel, pixel) order.
+func (d dotter) dotTile(rows, dkvs []int, s int, out []int) {
+	if d.td != nil {
+		d.td.DotTile(rows, dkvs, s, out)
 		return
 	}
-	n := len(dkv)
-	for i := range out {
-		out[i] = d.eng.Dot(rows[i*n:(i+1)*n], dkv)
+	r := len(rows) / s
+	for j := 0; j < len(dkvs)/s; j++ {
+		dkv := dkvs[j*s : (j+1)*s]
+		for i := range r {
+			out[j*r+i] = d.eng.Dot(rows[i*s:(i+1)*s], dkv)
+		}
 	}
 }
 
-// keyBuf returns a length-n row-digest buffer from the scratch for a
-// keyed engine, and nil for any other: it never reads digests.
-func (d dotter) keyBuf(bs *BatchScratch, n int) []uint64 {
-	if !d.keyed {
-		return nil
+// dequant is the conv and dense epilogue: float32(acc)*inScale*wScale +
+// bias, evaluated left to right, then a fused ReLU that, like
+// reluInPlace, zeroes only values below zero (-0 stays -0).
+func dequant(acc int, inScale, wScale, bias float32, relu bool) float32 {
+	v := float32(acc)*inScale*wScale + bias
+	if relu && v < 0 {
+		v = 0
 	}
-	if cap(bs.keys) < n {
-		bs.keys = make([]uint64, n)
-	}
-	return bs.keys[:n]
+	return v
 }
 
-// rowKeys fills keys[i] with the digest of the i-th n-lane row of rows
-// (nothing for nil keys).
-func rowKeys(keys []uint64, rows []int, n int) {
-	for i := range keys {
-		keys[i] = core.VecKey(rows[i*n : (i+1)*n])
-	}
-}
-
-// span is keys[lo:hi], or nil for an engine that takes no digests.
-func span(keys []uint64, lo, hi int) []uint64 {
-	if keys == nil {
-		return nil
-	}
-	return keys[lo:hi]
-}
-
-// forwardBatch runs the lowered quantized convolution over a batch. Each
-// example's input is quantized once, each pixel's in-bounds activation
-// vector (DIV) is gathered once through the shared patch geometry
-// (instead of once per output channel, as the naive loops do), and each
-// weight vector (DKV) is gathered once per batch through the same
-// position lists — a full window's DKV is its weight row, gathered not
-// at all. The engine boundary is weight-stationary: a DKV goes to the
-// engine with every dense example's DIV row for it. Each example's
-// operand vectors stay exactly ForwardNaive's — zero-padded positions
-// compressed out, channels outermost — and the calls keep its (output
-// channel, pixel) order.
+// forwardBatch runs the lowered quantized convolution over a batch,
+// example by example. Each example's input is quantized once; on the
+// dense path its full-window operand block is built once per layer (per
+// channel for a depthwise conv) and goes to the engine against every
+// output channel's weight row as stored — the DKV of a full window is
+// its weight row, so nothing is gathered — and the engine results are
+// dequantized, with a fused ReLU when relu is set, into the example's
+// output. The operand vectors are exactly ForwardNaive's.
 //
 // Sparsity gating is per example: on an engine that opts in
 // (ZeroSkipper), an example whose quantized input clears worthSparse
-// runs the compacted path — bit-exact by the ZeroSkipper contract —
-// with its own (shorter) operand vectors, example by example ahead of
-// the dense group. Engines that do not opt in always see the dense
-// operand vectors.
-func (c *QConv2D) forwardBatch(xs []*tensor.T, d dotter, qmax int, per []slot, bs *BatchScratch, li int) {
+// runs the input-stationary compacted path, sparseForward — bit-exact
+// by the ZeroSkipper contract. Engines that do not opt in always see
+// the dense operand vectors.
+func (c *QConv2D) forwardBatch(xs []*tensor.T, d dotter, qmax int, relu bool, bs *BatchScratch, li int) {
 	h, w := xs[0].Shape[1], xs[0].Shape[2]
-	hw := h * w
 	nin := len(xs[0].Data)
 	pos := matmul.Positions(h, w, c.K, c.Stride, c.Pad)
 	npix := pos.NumPix()
 	k2 := c.K * c.K
-	ksz := c.InC * k2 // weights per output channel
+	// A standard conv is one group of every input channel and every
+	// output channel; a depthwise conv is InC groups of one each.
+	groups, ksz := 1, c.InC*k2 // ksz = S, the lanes per operand row
 	if c.Depthwise {
-		ksz = k2
+		groups, ksz = c.InC, k2
 	}
-
-	bs.dense = bs.dense[:0]
-	nSparse, nnzSparse := 0, 0
+	gin, gout := c.InC/groups, c.OutC/groups
+	bs.rows = growInts(bs.rows, npix*ksz)
+	bs.acc = growInts(bs.acc, c.OutC*npix)
+	nDense, nSparse, nnzSparse := 0, 0, 0
 	for e, x := range xs {
-		s := &per[e]
-		s.qx = quantizeActs(s.qx, x.Data, c.InScale, qmax)
-		xs[e] = tensor.New(c.OutC, pos.OutH, pos.OutW) // the input is spent once quantized
-		if !d.skips || !worthSparse(s.qx) {
-			bs.dense = append(bs.dense, e)
+		bs.qx = quantizeActs(bs.qx, x.Data, c.InScale, qmax)
+		out := tensor.New(c.OutC, pos.OutH, pos.OutW)
+		xs[e] = out // the input is spent once quantized
+		if d.skips && worthSparse(bs.qx) {
+			nSparse++
+			nnzSparse += c.sparseForward(d, bs, out.Data, groups, h, w, relu)
 			continue
 		}
-		nSparse++
-		gatherSparse(pos, s, c.InC, hw, k2)
-		nnzSparse += s.sseg[npix*c.InC]
-		out := xs[e].Data
-		// Segments pix*InC + [seg, seg+nseg) reduce against wrow.
-		seg, nseg := 0, c.InC
-		for oc := 0; oc < c.OutC; oc++ {
-			wrow := c.W[oc*ksz:]
-			if c.Depthwise {
-				wrow, seg, nseg = c.W, oc, 1
-			}
-			orow := out[oc*npix : (oc+1)*npix]
-			for pix := range orow {
-				lo := pix*c.InC + seg
-				acc := sparseDot(d.eng, s, wrow, lo, lo+nseg)
-				orow[pix] = float32(acc)*c.InScale*c.WScale + c.Bias[oc]
+		nDense++
+		planes := bs.padPlanes(bs.qx, c.InC, h, w, c.Pad)
+		phw := len(planes) / c.InC
+		for g := 0; g < groups; g++ {
+			c.im2col(bs.rows, planes[g*gin*phw:(g+1)*gin*phw], gin, w+2*c.Pad, pos.OutH, pos.OutW)
+			d.dotTile(bs.rows, c.W[g*gout*ksz:(g+1)*gout*ksz], ksz, bs.acc[g*gout*npix:(g+1)*gout*npix])
+		}
+		inScale, wScale := c.InScale, c.WScale
+		for oc, bias := range c.Bias {
+			acc, dst := bs.acc[oc*npix:(oc+1)*npix], out.Data[oc*npix:(oc+1)*npix]
+			dst = dst[:len(acc)]
+			for pix, a := range acc {
+				dst[pix] = dequant(a, inScale, wScale, bias, relu)
 			}
 		}
 	}
-	dense := bs.dense
-	nd := len(dense)
 	if bs.Ops != nil {
-		if nd > 0 {
-			c.recordOps(bs.Ops, li, uint64(pos.NumOffs()), nin, npix, nd, -1)
+		if nDense > 0 {
+			c.recordOps(bs.Ops, li, uint64(pos.NumOffs()), nin, npix, nDense, -1)
 		}
 		if nSparse > 0 {
 			c.recordOps(bs.Ops, li, uint64(pos.NumOffs()), nin, npix, nSparse, nnzSparse)
 		}
 	}
-	if nd == 0 {
-		return
-	}
-	bs.acc = growInts(bs.acc, nd*npix)
-
-	if c.Depthwise {
-		// DKV depends only on (oc, pixel): gather it and the dense
-		// examples' single-channel DIV rows once per (oc, pixel).
-		keys := d.keyBuf(bs, nd)
-		for oc := 0; oc < c.OutC; oc++ {
-			wrow := c.W[oc*k2 : (oc+1)*k2]
-			for pix := 0; pix < npix; pix++ {
-				offs, kks := pos.At(pix)
-				n := len(offs)
-				dkv := wrow
-				if n < k2 {
-					dkv = gatherDKV(bs, wrow, kks, 1, k2)
-				}
-				bs.rows = growInts(bs.rows, nd*n)
-				for i, e := range dense {
-					gatherDIV(bs.rows[i*n:], per[e].qx[oc*hw:], offs, 1, hw)
-				}
-				rowKeys(keys, bs.rows, n)
-				d.dotRows(bs.rows[:nd*n], dkv, keys, bs.acc[:nd])
-				c.store(xs, dense, bs.acc, oc, pix, pix+1)
-			}
-		}
-		return
-	}
-
-	// One batch-wide integer im2col over the dense examples. A full
-	// geometry lays it out example-major, [example][pixel][ksz], so each
-	// example's pixel rows are contiguous; a padding-truncated one lays
-	// it out pixel-major, [pixel][example][lanes], so each pixel's rows
-	// across the batch are contiguous, starting at bs.ds[pix]. Row digests
-	// follow the rows: keys[i*npix+pix] example-major, keys[pix*nd+i]
-	// pixel-major.
-	full := pos.Full()
-	need := nd * npix * ksz
-	if !full {
-		bs.ds = growInts(bs.ds, npix+1)
-		need = 0
-		for pix := 0; pix < npix; pix++ {
-			bs.ds[pix] = need
-			offs, _ := pos.At(pix)
-			need += nd * len(offs) * c.InC
-		}
-		bs.ds[npix] = need
-	}
-	bs.rows = growInts(bs.rows, need)
-	keys := d.keyBuf(bs, nd*npix)
-	for pix := 0; pix < npix; pix++ {
-		offs, _ := pos.At(pix)
-		p, stride := pix*ksz, npix*ksz
-		if !full {
-			p, stride = bs.ds[pix], len(offs)*c.InC
-		}
-		for _, e := range dense {
-			gatherDIV(bs.rows[p:], per[e].qx, offs, c.InC, hw)
-			p += stride
-		}
-		if !full {
-			rowKeys(span(keys, pix*nd, (pix+1)*nd), bs.rows[bs.ds[pix]:], stride)
-		}
-	}
-	if full {
-		rowKeys(keys, bs.rows, ksz)
-	}
-	for oc := 0; oc < c.OutC; oc++ {
-		wrow := c.W[oc*ksz : (oc+1)*ksz]
-		if full {
-			// The weight row serves every (example, pixel) of this
-			// output channel; each example's pixels go to the engine as
-			// one run.
-			for i := range dense {
-				acc := bs.acc[i*npix : (i+1)*npix]
-				d.dotRows(bs.rows[i*npix*ksz:(i+1)*npix*ksz], wrow, span(keys, i*npix, (i+1)*npix), acc)
-				c.store(xs, dense[i:i+1], acc, oc, 0, npix)
-			}
-			continue
-		}
-		for pix := 0; pix < npix; {
-			end := pix + 1
-			dkv := wrow
-			if _, kks := pos.At(pix); len(kks) < k2 {
-				dkv = gatherDKV(bs, wrow, kks, c.InC, k2)
-			} else {
-				// Consecutive full windows share the weight row, and the
-				// pixel-major im2col holds their rows back to back in
-				// (pixel, example) order: the whole run is one dotRows.
-				for end < npix {
-					if _, kk := pos.At(end); len(kk) < k2 {
-						break
-					}
-					end++
-				}
-			}
-			acc := bs.acc[:(end-pix)*nd]
-			d.dotRows(bs.rows[bs.ds[pix]:bs.ds[end]], dkv, span(keys, pix*nd, end*nd), acc)
-			c.store(xs, dense, acc, oc, pix, end)
-			pix = end
-		}
-	}
 }
 
-// gatherDKV gathers the DKV of a padding-truncated window: the weights
-// of row wrow (inC channel blocks of k2 kernel slots) at the window's
-// in-bounds slots kks, channels outermost — the DIV lane order.
-func gatherDKV(bs *BatchScratch, wrow, kks []int, inC, k2 int) []int {
-	n := len(kks)
-	bs.dkv = growInts(bs.dkv, n*inC)
+// padPlanes returns the inC quantized h x w planes qx with a zero
+// border of width pad, in bs.pad (qx itself when pad is 0).
+func (bs *BatchScratch) padPlanes(qx []int, inC, h, w, pad int) []int {
+	if pad == 0 {
+		return qx
+	}
+	ph, pw := h+2*pad, w+2*pad
+	bs.pad = growInts(bs.pad, inC*ph*pw)
+	clear(bs.pad)
 	for ic := 0; ic < inC; ic++ {
-		wseg, dst := wrow[ic*k2:(ic+1)*k2], bs.dkv[ic*n:(ic+1)*n]
-		for j, k := range kks {
-			dst[j] = wseg[k]
+		for y := 0; y < h; y++ {
+			copy(bs.pad[(ic*ph+y+pad)*pw+pad:], qx[(ic*h+y)*w:(ic*h+y+1)*w])
 		}
 	}
-	return bs.dkv[:n*inC]
+	return bs.pad
 }
 
-// store dequantizes output channel oc's results at pixels [pix, end),
-// laid out [pixel][dense example] in acc, into the dense examples'
-// outputs.
-func (c *QConv2D) store(xs []*tensor.T, dense, acc []int, oc, pix, end int) {
-	npix := xs[0].Shape[1] * xs[0].Shape[2]
-	for ; pix < end; pix++ {
-		for i, e := range dense {
-			xs[e].Data[oc*npix+pix] = float32(acc[i])*c.InScale*c.WScale + c.Bias[oc]
+// im2col fills rows with one full-window operand row per output pixel
+// (oh x ow, row-major) over inC zero-bordered planes of width pw: lanes
+// in (ic, ky, kx) order — the weight-row order — with the border's zeros
+// for the taps that fall in the padding. Each (ic, ky) segment of a row
+// is k consecutive values of one plane row.
+func (c *QConv2D) im2col(rows, planes []int, inC, pw, oh, ow int) {
+	k, st := c.K, c.Stride
+	ph := len(planes) / (inC * pw)
+	s := inC * k * k
+	for oy := 0; oy < oh; oy++ {
+		for ic := 0; ic < inC; ic++ {
+			for ky := 0; ky < k; ky++ {
+				src := planes[(ic*ph+oy*st+ky)*pw:][:pw]
+				d := oy*ow*s + (ic*k+ky)*k
+				if k == 3 { // the common kernel, unrolled
+					for ox := 0; ox < ow; ox++ {
+						r, v := rows[d+ox*s:][:3], src[ox*st:][:3]
+						r[0], r[1], r[2] = v[0], v[1], v[2]
+					}
+					continue
+				}
+				for ox := 0; ox < ow; ox++ {
+					copy(rows[d+ox*s:d+ox*s+k], src[ox*st:])
+				}
+			}
 		}
-		acc = acc[len(dense):]
 	}
 }
 
-// forwardBatch quantizes every example's input into one batch of rows
-// and hands each output's weight row to the engine once, against all of
-// them; per-example call order stays (output) ascending, ForwardNaive's
-// order.
-func (dl *QDense) forwardBatch(xs []*tensor.T, d dotter, qmax int, bs *BatchScratch, li int) {
+// sparseForward is the compacted path of one example, input-stationary:
+// each nonzero activation is one engine tile, a single-lane row against
+// its input channel's weights at every kernel tap as single-lane DKVs,
+// and the products add into the outputs whose windows read it. A
+// pixel's products over its nonzero lanes sum to its Dot (ZeroSkipper
+// clauses 1 and 3), and a pixel no nonzero activation reaches stays 0
+// (clause 2). The sums, accumulated [group][pixel][channel in group] in
+// bs.acc, are dequantized into out. It returns the nonzero lane count
+// over all pixels, the work a zero-skipping engine does per output
+// channel.
+//
+// The DKVs run (ky, kx) with kx reversed, so at stride 1 the taps one
+// activation meets along an output row are consecutive, like the row's
+// pixels, and each output row takes one add loop.
+func (c *QConv2D) sparseForward(d dotter, bs *BatchScratch, out []float32, groups, h, w int, relu bool) int {
+	k, k2 := c.K, c.K*c.K
+	gin, gout := c.InC/groups, c.OutC/groups
+	oh, ow := (h+2*c.Pad-k)/c.Stride+1, (w+2*c.Pad-k)/c.Stride+1
+	npix := oh * ow
+	wtap := growInts(bs.wtap, c.InC*k2*gout)
+	bs.wtap = wtap
+	for ic := 0; ic < c.InC; ic++ {
+		g := ic / gin
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				for j := 0; j < gout; j++ {
+					wtap[((ic*k+ky)*k+k-1-kx)*gout+j] = c.W[(((g*gout+j)*gin+ic-g*gin)*k+ky)*k+kx]
+				}
+			}
+		}
+	}
+	bs.span = growInts(bs.span, 2*(h+w))
+	ys, xs := c.reach(bs.span[:2*h], oh), c.reach(bs.span[2*h:], ow)
+	acc := bs.acc[:npix*c.OutC]
+	clear(acc)
+	bs.prod = growInts(bs.prod, k2*gout+1)
+	row, prod := bs.prod[k2*gout:], bs.prod[:k2*gout]
+	nnz := 0
+	for ic := 0; ic < c.InC; ic++ {
+		g := ic / gin
+		dkvs, gacc := wtap[ic*k2*gout:(ic+1)*k2*gout], acc[g*npix*gout:(g+1)*npix*gout]
+		for iy := 0; iy < h; iy++ {
+			for ix, v := range bs.qx[(ic*h+iy)*w : (ic*h+iy+1)*w] {
+				if v == 0 {
+					continue
+				}
+				lo, hi := xs[2*ix], xs[2*ix+1]
+				if hi < lo || ys[2*iy+1] < ys[2*iy] {
+					continue // no window reads it
+				}
+				nnz += (ys[2*iy+1] - ys[2*iy] + 1) * (hi - lo + 1)
+				row[0] = v
+				d.dotTile(row, dkvs, 1, prod)
+				for oy := ys[2*iy]; oy <= ys[2*iy+1]; oy++ {
+					ky := iy + c.Pad - oy*c.Stride
+					// Tap (ky, kx) sits at ky*k + k-1-kx; kx = ix+pad-ox*stride.
+					t0 := ky*k + k - 1 - ix - c.Pad
+					if c.Stride == 1 {
+						addInts(gacc[(oy*ow+lo)*gout:(oy*ow+hi+1)*gout], prod[(t0+lo)*gout:])
+						continue
+					}
+					for ox := lo; ox <= hi; ox++ {
+						t := t0 + ox*c.Stride
+						addInts(gacc[(oy*ow+ox)*gout:(oy*ow+ox+1)*gout], prod[t*gout:])
+					}
+				}
+			}
+		}
+	}
+	inScale, wScale := c.InScale, c.WScale
+	for oc, bias := range c.Bias {
+		g, j := oc/gout, oc%gout
+		for pix := 0; pix < npix; pix++ {
+			out[oc*npix+pix] = dequant(acc[(g*npix+pix)*gout+j], inScale, wScale, bias, relu)
+		}
+	}
+	return nnz
+}
+
+// addInts adds src[i] to dst[i] for every i < len(dst), four at a time.
+func addInts(dst, src []int) {
+	src = src[:len(dst)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+		d[0] += s[0]
+		d[1] += s[1]
+		d[2] += s[2]
+		d[3] += s[3]
+	}
+	for ; i < len(dst); i++ {
+		dst[i] += src[i]
+	}
+}
+
+// reach fills span with, for each input row (or column) i, the first
+// and last output row (column) whose window reads it — [ceil((i+pad-k+1)
+// /stride), floor((i+pad)/stride)] clamped to the on outputs — and
+// returns it.
+func (c *QConv2D) reach(span []int, on int) []int {
+	for i := 0; i < len(span)/2; i++ {
+		span[2*i] = max(0, (i+c.Pad-c.K+c.Stride)/c.Stride)
+		span[2*i+1] = min(on-1, (i+c.Pad)/c.Stride)
+	}
+	return span
+}
+
+// forwardBatch quantizes every example's input into one block of rows
+// and runs it against every output's weight row in one engine product.
+func (dl *QDense) forwardBatch(xs []*tensor.T, d dotter, qmax int, relu bool, bs *BatchScratch, li int) {
 	dl.recordOps(bs.Ops, li, len(xs))
-	bs.rows = growInts(bs.rows, len(xs)*dl.In)
-	rows := bs.rows[:len(xs)*dl.In]
+	n := len(xs)
+	bs.rows = growInts(bs.rows, n*dl.In)
+	rows := bs.rows[:n*dl.In]
 	for e, x := range xs {
 		if len(x.Data) != dl.In {
 			panic(fmt.Sprintf("quant: dense layer input length %d, want %d", len(x.Data), dl.In))
@@ -448,14 +433,11 @@ func (dl *QDense) forwardBatch(xs []*tensor.T, d dotter, qmax int, bs *BatchScra
 		quantizeActs(rows[e*dl.In:(e+1)*dl.In], x.Data, dl.InScale, qmax)
 		xs[e] = tensor.New(dl.Out)
 	}
-	keys := d.keyBuf(bs, len(xs))
-	rowKeys(keys, rows, dl.In)
-	bs.acc = growInts(bs.acc, len(xs))
-	acc := bs.acc[:len(xs)]
+	bs.acc = growInts(bs.acc, dl.Out*n)
+	d.dotTile(rows, dl.W, dl.In, bs.acc)
 	for o := 0; o < dl.Out; o++ {
-		d.dotRows(rows, dl.W[o*dl.In:(o+1)*dl.In], keys, acc)
-		for e, a := range acc {
-			xs[e].Data[o] = float32(a)*dl.InScale*dl.WScale + dl.Bias[o]
+		for e, a := range bs.acc[o*n : (o+1)*n] {
+			xs[e].Data[o] = dequant(a, dl.InScale, dl.WScale, dl.Bias[o], relu)
 		}
 	}
 }

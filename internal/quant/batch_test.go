@@ -26,8 +26,8 @@ func batchInputs(n int, seed int64, shape ...int) []*tensor.T {
 }
 
 // quantNets builds one standard and one depthwise quantized network so
-// every batch test covers both conv paths (shared-patch and depthwise
-// gathers) plus padding-truncated windows.
+// every batch test covers both conv groupings plus windows that reach
+// into the padding.
 func quantNets(t *testing.T) []*Network {
 	t.Helper()
 	var qns []*Network
@@ -123,33 +123,35 @@ func TestForwardBatchValidates(t *testing.T) {
 	})
 }
 
-// rowRecordingEngine is a recording RowDotter: DotRows logs each of its
-// rows as the Dot call the RowDotter contract says it stands for, so
-// its log is directly comparable with a Dot-only recorder's.
-type rowRecordingEngine struct {
+// tileRecordingEngine is a recording TileDotter: DotTile logs each of
+// its (row, DKV) pairs as the Dot call the TileDotter contract says it
+// stands for, DKV-major, so its log is directly comparable with a
+// Dot-only recorder's.
+type tileRecordingEngine struct {
 	recordingEngine
-	skips    bool
-	rowCalls int // DotRows calls
-	rows     int // calls that arrived as DotRows rows
+	skips     bool
+	tileCalls int // DotTile calls
+	tiled     int // calls that arrived inside a DotTile
 }
 
-func (r *rowRecordingEngine) SkipsZeros() bool { return r.skips }
+func (r *tileRecordingEngine) SkipsZeros() bool { return r.skips }
 
-func (r *rowRecordingEngine) DotRows(rows, dkv []int, _ []uint64, out []int) {
-	r.rowCalls++
-	r.rows += len(out)
-	n := len(dkv)
-	for i := range out {
-		out[i] = r.Dot(rows[i*n:(i+1)*n], dkv)
+func (r *tileRecordingEngine) DotTile(rows, dkvs []int, s int, out []int) {
+	r.tileCalls++
+	r.tiled += len(out)
+	nr := len(rows) / s
+	for j := 0; j < len(dkvs)/s; j++ {
+		for i := 0; i < nr; i++ {
+			out[j*nr+i] = r.Dot(rows[i*s:(i+1)*s], dkvs[j*s:(j+1)*s])
+		}
 	}
 }
 
 // sharedCallOrder is the call sequence a single engine shared by a
 // batch must see, built from each example's ForwardNaive sequence on a
-// dense-only engine: per conv layer and output channel,
-// pixel-major across the examples — except a full-window non-depthwise
-// conv, which runs each example's pixels in turn — and per dense output,
-// example by example.
+// dense-only engine: per conv layer, example by example in ForwardNaive's
+// (output channel, pixel) order, and per dense output, example by
+// example.
 func sharedCallOrder(q *Network, h, w int, naive [][][2][]int) [][2][]int {
 	var out [][2][]int
 	off := 0 // start of the current layer's calls in every naive sequence
@@ -158,22 +160,11 @@ func sharedCallOrder(q *Network, h, w int, naive [][][2][]int) [][2][]int {
 		case l.conv != nil:
 			c := l.conv
 			pos := matmul.Positions(h, w, c.K, c.Stride, c.Pad)
-			npix := pos.NumPix()
-			for oc := 0; oc < c.OutC; oc++ {
-				base := off + oc*npix
-				if pos.Full() && !c.Depthwise {
-					for e := range naive {
-						out = append(out, naive[e][base:base+npix]...)
-					}
-					continue
-				}
-				for pix := 0; pix < npix; pix++ {
-					for e := range naive {
-						out = append(out, naive[e][base+pix])
-					}
-				}
+			n := c.OutC * pos.NumPix()
+			for e := range naive {
+				out = append(out, naive[e][off:off+n]...)
 			}
-			off += c.OutC * npix
+			off += n
 			h, w = pos.OutH, pos.OutW
 		case l.dense != nil:
 			for o := 0; o < l.dense.Out; o++ {
@@ -211,9 +202,9 @@ func assertSameCalls(t *testing.T, what string, got, want [][2][]int) {
 
 // TestForwardBatchSharedCallOrder pins the call sequence one engine
 // shared by a batch sees against an order built independently from the
-// examples' ForwardNaive sequences, for a Dot-only engine and for a RowDotter whose rows
-// are logged as calls. The cases cover padding-truncated, full-window
-// (pad-0 and 1x1), depthwise and dense layers.
+// examples' ForwardNaive sequences, for a Dot-only engine and for a
+// TileDotter whose tiles are logged as calls. The cases cover padded,
+// strided, pad-0, 1x1, depthwise and dense layers.
 func TestForwardBatchSharedCallOrder(t *testing.T) {
 	for _, tc := range qnetCases(t) {
 		xs := batchInputs(3, 61, tc.x.Shape...)
@@ -229,20 +220,28 @@ func TestForwardBatchSharedCallOrder(t *testing.T) {
 		tc.qn.ForwardBatch(xs, []DotEngine{perCall}, nil)
 		assertSameCalls(t, tc.name+" Dot", perCall.calls, want)
 
-		rowed := &rowRecordingEngine{}
-		tc.qn.ForwardBatch(xs, []DotEngine{rowed}, nil)
-		if rowed.rowCalls == 0 {
-			t.Fatalf("%s: DotRows never called", tc.name)
+		tiled := &tileRecordingEngine{}
+		tc.qn.ForwardBatch(xs, []DotEngine{tiled}, nil)
+		if tiled.tileCalls == 0 {
+			t.Fatalf("%s: DotTile never called", tc.name)
 		}
-		assertSameCalls(t, tc.name+" DotRows", rowed.calls, want)
+		assertSameCalls(t, tc.name+" DotTile", tiled.calls, want)
 	}
 }
 
 // TestForwardBatchMixedRowsMatchDot: on batches mixing sparse-path and
-// dense-path examples, the rows a zero-skipping RowDotter receives,
-// together with the sparse examples' Dot calls, are exactly the
-// calls the same batch makes on a Dot-only engine.
+// dense-path examples, the calls a zero-skipping TileDotter receives in
+// its tiles — dense full-window rows and sparse compacted rows alike —
+// are exactly the calls the same batch makes on a Dot-only engine, and
+// fewer lanes than a non-skipping engine sees (the sparse path ran).
 func TestForwardBatchMixedRowsMatchDot(t *testing.T) {
+	lanes := func(calls [][2][]int) int {
+		n := 0
+		for _, c := range calls {
+			n += len(c[0])
+		}
+		return n
+	}
 	for _, tc := range qnetCases(t) {
 		rng := rand.New(rand.NewSource(62))
 		xs := make([]*tensor.T, 5)
@@ -253,18 +252,20 @@ func TestForwardBatchMixedRowsMatchDot(t *testing.T) {
 			}
 			xs[i] = sparseInput(rng, sparsity, tc.x.Shape...)
 		}
-		ref := &rowRecordingEngine{skips: true}
+		ref := &tileRecordingEngine{skips: true}
 		want := tc.qn.ForwardBatch(xs, []DotEngine{struct{ ZeroSkipper }{ref}}, nil)
-		rowed := &rowRecordingEngine{skips: true}
-		got := tc.qn.ForwardBatch(xs, []DotEngine{rowed}, nil)
+		tiled := &tileRecordingEngine{skips: true}
+		got := tc.qn.ForwardBatch(xs, []DotEngine{tiled}, nil)
 		for i := range want {
 			assertBitIdentical(t, got[i], want[i])
 		}
-		if rowed.rowCalls == 0 || rowed.rows == len(rowed.calls) {
-			t.Fatalf("%s: %d DotRows calls, %d of %d calls as rows: not a mixed batch",
-				tc.name, rowed.rowCalls, rowed.rows, len(rowed.calls))
+		dense := &tileRecordingEngine{}
+		tc.qn.ForwardBatch(xs, []DotEngine{dense}, nil)
+		if tiled.tileCalls == 0 || tiled.tiled != len(tiled.calls) || lanes(tiled.calls) >= lanes(dense.calls) {
+			t.Fatalf("%s: %d DotTile calls, %d of %d calls in tiles, %d lanes vs %d dense: not a mixed batch through tiles",
+				tc.name, tiled.tileCalls, tiled.tiled, len(tiled.calls), lanes(tiled.calls), lanes(dense.calls))
 		}
-		assertSameCalls(t, tc.name, rowed.calls, ref.calls)
+		assertSameCalls(t, tc.name, tiled.calls, ref.calls)
 	}
 }
 

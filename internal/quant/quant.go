@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/mapper"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -31,26 +32,23 @@ type DotEngine interface {
 	Name() string
 }
 
-// RowDotter is an optional DotEngine capability: the weight-stationary
-// form of a run of Dot calls, one weight vector (DKV) held while many
-// operand vectors (DIVs) stream past it.
+// TileDotter is an optional DotEngine capability: a layer tile in one
+// call, every operand row (DIV) against every weight vector (DKV).
 //
-// DotRows(rows, dkv, keys, out) must leave out[i] equal to
-// Dot(rows[i*n:(i+1)*n], dkv) with n = len(dkv), bit for bit, in any
-// row order, and panic wherever that Dot would. keys[i] is row i's
-// core.VecKey — the operand digest a keyed-noise engine seeds its ADC
-// error with — computed once per row by the caller, however many DKVs
-// the row meets. keys may be nil: the engine then digests rows itself,
-// or ignores them when its result has no noise (an engine whose
-// SkipsZeros reports true depends only on nonzero lanes, so no digest
-// of all lanes can matter to it; the lowering passes nil keys there).
-// The lowering hands one engine every dense example's row of an
-// (output channel, pixel) — or of a run of full-window pixels, which
-// share the DKV — in a single call, so the engine can validate and pack
-// the DKV once.
-type RowDotter interface {
+// DotTile(rows, dkvs, s, out) must leave out[j*r+i] equal to
+// Dot(rows[i*s:(i+1)*s], dkvs[j*s:(j+1)*s]) bit for bit, for each of the
+// r = len(rows)/s rows and len(dkvs)/s DKVs (s >= 1), and panic wherever
+// one of those Dot calls would — so not at all when either count is
+// zero. out is laid out [DKV][row], a conv layer's [channel][pixel]
+// tensor order. The lowering hands one engine a conv layer's zero-padded
+// full-window operand block of one example, S = K*K*D lanes per output
+// pixel in the weight-row order, against every output channel's weight
+// row as stored; the engine can validate and pack each DKV once per tile
+// and digest each row once, however many DKVs it meets. An engine
+// without the capability gets one Dot per (row, DKV), DKV-major.
+type TileDotter interface {
 	DotEngine
-	DotRows(rows, dkv []int, keys []uint64, out []int)
+	DotTile(rows, dkvs []int, s int, out []int)
 }
 
 // ExactEngine computes dot products with plain integer arithmetic — the
@@ -69,25 +67,119 @@ func (ExactEngine) Dot(div, dkv []int) int {
 	return s
 }
 
-// DotRows implements RowDotter; exact arithmetic has no noise, so keys
-// are ignored. Rows go two at a time, so each weight load and loop step
-// feeds two independent sums: 15-30% faster than one row at a time on
-// the 9-50 lane rows of the served CNN (2-vCPU Xeon, go1.24).
-func (ExactEngine) DotRows(rows, dkv []int, _ []uint64, out []int) {
-	n := len(dkv)
-	i := 0
-	for ; i+2 <= len(out); i += 2 {
-		r0, r1 := rows[i*n:(i+1)*n], rows[(i+1)*n:(i+2)*n]
-		s0, s1 := 0, 0
-		for j, w := range dkv {
-			s0 += r0[j] * w
-			s1 += r1[j] * w
+// DotTile implements TileDotter as a register-tiled integer GEMM. Its
+// micro-kernel takes two rows against four DKVs, two DKVs packed per
+// int64 (w0 + w1<<32), so each multiply feeds two sums and the eight
+// sums live in four registers. The packing is exact while every sum
+// stays within int32, which packedSumsFit checks on the actual operands;
+// otherwise, and for the DKVs left over from the groups of four, the
+// tile runs Dot, whose sums wrap like any other order's. A single-lane
+// row against single-lane DKVs (the sparse path's shape) is a scaled
+// vector.
+func (ExactEngine) DotTile(rows, dkvs []int, s int, out []int) {
+	nr, nd := len(rows)/s, len(dkvs)/s
+	if nr == 1 && s == 1 {
+		x, out := rows[0], out[:len(dkvs)]
+		for j, w := range dkvs {
+			out[j] = x * w
 		}
-		out[i], out[i+1] = s0, s1
+		return
 	}
-	if i < len(out) {
-		out[i] = ExactEngine{}.Dot(rows[i*n:(i+1)*n], dkv)
+	j := 0
+	if nr >= 2 && nd >= 4 && packedSumsFit(rows, dkvs, s) {
+		for ; j+4 <= nd; j += 4 {
+			exactTile4(rows, dkvs[j*s:(j+4)*s], s, out[j*nr:(j+4)*nr])
+		}
 	}
+	for ; j < nd; j++ {
+		dkv := dkvs[j*s : (j+1)*s]
+		for i := range nr {
+			out[j*nr+i] = ExactEngine{}.Dot(rows[i*s:(i+1)*s], dkv)
+		}
+	}
+}
+
+// packedSumsFit reports that every (row, DKV) sum of the tile, and so
+// each half of a packed accumulator, lies strictly within int32: rows
+// nonnegative with their OR m (an upper bound on every row value) times
+// the largest per-DKV sum of |w| below 2^31.
+func packedSumsFit(rows, dkvs []int, s int) bool {
+	const lim = 1<<31 - 1
+	var m0, m1, m2, m3 int
+	for ; len(rows) >= 4; rows = rows[4:] {
+		m0 |= rows[0]
+		m1 |= rows[1]
+		m2 |= rows[2]
+		m3 |= rows[3]
+	}
+	m := m0 | m1 | m2 | m3
+	for _, v := range rows {
+		m |= v
+	}
+	if m < 0 || m > lim {
+		return false
+	}
+	for j := 0; j < len(dkvs); j += s {
+		sum := 0
+		for _, w := range dkvs[j : j+s] {
+			if w < -lim || w > lim {
+				return false
+			}
+			sum += max(w, -w)
+		}
+		if m > 0 && sum > lim/m {
+			return false
+		}
+	}
+	return true
+}
+
+// exactTile4 runs every row against four DKVs (dkvs holds exactly
+// four) through the packed 2x4 micro-kernel, writing out[j*nr+i]; a last
+// odd row takes plain dots.
+func exactTile4(rows, dkvs []int, s int, out []int) {
+	nr := len(rows) / s
+	w0, w1, w2, w3 := dkvs[:s], dkvs[s:2*s], dkvs[2*s:3*s], dkvs[3*s:4*s]
+	o0, o1, o2, o3 := out[:nr], out[nr:2*nr], out[2*nr:3*nr], out[3*nr:4*nr]
+	i := 0
+	for ; i+2 <= nr; i += 2 {
+		a0, a1, b0, b1 := kernel2x4(rows[i*s:(i+1)*s], rows[(i+1)*s:(i+2)*s], w0, w1, w2, w3)
+		o0[i], o1[i] = unpack(a0)
+		o0[i+1], o1[i+1] = unpack(a1)
+		o2[i], o3[i] = unpack(b0)
+		o2[i+1], o3[i+1] = unpack(b1)
+	}
+	if i < nr {
+		r := rows[i*s : (i+1)*s]
+		o0[i], o1[i] = ExactEngine{}.Dot(r, w0), ExactEngine{}.Dot(r, w1)
+		o2[i], o3[i] = ExactEngine{}.Dot(r, w2), ExactEngine{}.Dot(r, w3)
+	}
+}
+
+// kernel2x4 is the packed micro-kernel: rows r0, r1 against the DKV
+// pairs (w0, w1) and (w2, w3), each pair packed into one int64 per lane.
+// It is a function of its own so that only its operands compete for
+// registers.
+func kernel2x4(r0, r1, w0, w1, w2, w3 []int) (a0, a1, b0, b1 int) {
+	r0, r1 = r0[:len(w0)], r1[:len(w0)]
+	w1, w2, w3 = w1[:len(w0)], w2[:len(w0)], w3[:len(w0)]
+	for k, w := range w0 {
+		p := w + w1[k]<<32
+		q := w2[k] + w3[k]<<32
+		x0, x1 := r0[k], r1[k]
+		a0 += x0 * p
+		a1 += x1 * p
+		b0 += x0 * q
+		b1 += x1 * q
+	}
+	return a0, a1, b0, b1
+}
+
+// unpack splits a packed accumulator a = lo + hi<<32 (mod 2^64) whose
+// halves both lie within int32 back into the two sums.
+func unpack(a int) (lo, hi int) {
+	lo = int(int32(a))
+	return lo, (a - lo) >> 32
 }
 
 // QConv2D is an integer-quantized convolution.
@@ -305,17 +397,25 @@ func gapPool(x *tensor.T) *tensor.T {
 }
 
 // ForwardNaive runs quantized inference through the reference
-// per-output-pixel gather loops (the seed implementation, kept
-// verbatim). The lowered path must reproduce it exactly — the same
-// operand vectors, so the same results on any pure engine — which
+// per-output-pixel loops: each conv output is one Dot of the
+// zero-padded S-point DIV and DKV that the preprocessing-and-mapping
+// unit produces (mapper.Conv.ExtractDIV/ExtractDKV, Fig. 8), in (output
+// channel, pixel) order. The lowering must reproduce it exactly — the
+// same operand vectors, so the same results on any pure engine — which
 // anchors the equivalence and call-sequence tests and the naive leg of
 // BenchmarkQuantForward.
 func (q *Network) ForwardNaive(x *tensor.T, engine DotEngine) *tensor.T {
+	return q.forwardNaiveWith(x, engine, (*QConv2D).forwardNaive)
+}
+
+// forwardNaiveWith is ForwardNaive with the conv reference conv; every
+// other layer runs through the nn training layers.
+func (q *Network) forwardNaiveWith(x *tensor.T, engine DotEngine, conv func(*QConv2D, *tensor.T, DotEngine, int) *tensor.T) *tensor.T {
 	qmax := int(1)<<uint(q.Bits) - 1
 	for _, l := range q.layers {
 		switch {
 		case l.conv != nil:
-			x = l.conv.forwardNaive(x, engine, qmax)
+			x = conv(l.conv, x, engine, qmax)
 		case l.dense != nil:
 			x = l.dense.forwardNaive(x, engine, qmax)
 		case l.relu:
@@ -336,62 +436,21 @@ func (q *Network) ForwardNaive(x *tensor.T, engine DotEngine) *tensor.T {
 	return x
 }
 
-// gatherDIV fills dst[:inC*len(offs)] with one pixel's DIV vector over
-// quantized CHW activations qx (inC planes of hw values): channels
-// outermost, the pixel's in-bounds source offsets inner — the lowering's
-// lane order.
-func gatherDIV(dst, qx, offs []int, inC, hw int) {
-	p := 0
-	for ic := 0; ic < inC; ic++ {
-		qc := qx[ic*hw:]
-		for _, o := range offs {
-			dst[p] = qc[o]
-			p++
-		}
-	}
-}
-
-// forwardNaive is the seed implementation of the quantized convolution,
-// kept verbatim as the lowering's reference.
+// forwardNaive is the reference quantized convolution over the mapper's
+// full-window operand vectors.
 func (c *QConv2D) forwardNaive(x *tensor.T, engine DotEngine, qmax int) *tensor.T {
-	h, w := x.Shape[1], x.Shape[2]
-	oh := (h+2*c.Pad-c.K)/c.Stride + 1
-	ow := (w+2*c.Pad-c.K)/c.Stride + 1
+	m := mapper.Conv{
+		InC: c.InC, H: x.Shape[1], W: x.Shape[2], OutC: c.OutC,
+		K: c.K, Stride: c.Stride, Pad: c.Pad, Depthwise: c.Depthwise,
+	}
+	oh, ow := m.OutSize(m.H), m.OutSize(m.W)
 	qx := quantizeActs(nil, x.Data, c.InScale, qmax)
 	out := tensor.New(c.OutC, oh, ow)
-	wc := c.InC
-	if c.Depthwise {
-		wc = 1
-	}
-	ksz := wc * c.K * c.K
-	div := make([]int, 0, ksz)
-	dkv := make([]int, 0, ksz)
 	for oc := 0; oc < c.OutC; oc++ {
-		kbase := oc * ksz
+		dkv := m.ExtractDKV(c.W, oc)
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				div = div[:0]
-				dkv = dkv[:0]
-				icLo, icHi := 0, c.InC
-				if c.Depthwise {
-					icLo, icHi = oc, oc+1
-				}
-				for ic := icLo; ic < icHi; ic++ {
-					wci := ic - icLo
-					for ky := 0; ky < c.K; ky++ {
-						iy := oy*c.Stride + ky - c.Pad
-						for kx := 0; kx < c.K; kx++ {
-							ix := ox*c.Stride + kx - c.Pad
-							wv := c.W[kbase+(wci*c.K+ky)*c.K+kx]
-							if iy < 0 || iy >= h || ix < 0 || ix >= w {
-								continue // zero-pad contributes nothing
-							}
-							div = append(div, qx[(ic*h+iy)*w+ix])
-							dkv = append(dkv, wv)
-						}
-					}
-				}
-				acc := engine.Dot(div, dkv)
+				acc := engine.Dot(m.ExtractDIV(qx, oc, oy, ox), dkv)
 				out.Set(float32(acc)*c.InScale*c.WScale+c.Bias[oc], oc, oy, ox)
 			}
 		}

@@ -25,35 +25,67 @@ func (d dotOnly) SkipsZeros() bool {
 	return ok && z.SkipsZeros()
 }
 
-// TestExactDotRowsMatchesDot: the exact engine's DotRows equals its Dot
-// row by row, for even and odd row counts (the paired loop and its
-// tail) and for zero rows.
+// TestExactDotRowsMatchesDot: every row of the exact engine's tile GEMM
+// equals its Dot per (row, DKV) bit for bit — over row and DKV counts
+// off the micro-kernel's multiples (odd rows, DKVs beyond the groups of
+// four), zero counts, all-zero rows, a dense-layer-wide row, and
+// adversarial operands near ±2^31 whose sums leave int32 (the packed
+// kernel must step aside) or wrap int64 (the plain loops must wrap like
+// Dot).
 func TestExactDotRowsMatchesDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for nrows := 0; nrows <= 5; nrows++ {
-		n := 1 + rng.Intn(40)
-		rows := make([]int, nrows*n)
+	type gen func() int
+	small := func() int { return rng.Intn(256) }
+	weight := func() int { return rng.Intn(511) - 255 }
+	huge := func() int { return 1<<31 - 1 - rng.Intn(4) - rng.Intn(2)*(1<<32-2) }
+	wide := func() int { return rng.Int() - rng.Int() }
+	cases := []struct {
+		name      string
+		nr, nd, s int
+		row, w    gen
+		zeroRows  bool
+	}{
+		{"2x4 exact fit", 2, 4, 9, small, weight, false},
+		{"odd rows, 4+3 DKVs", 7, 7, 13, small, weight, false},
+		{"one DKV", 5, 1, 9, small, weight, false},
+		{"one single-lane row", 1, 9, 1, small, weight, false},
+		{"zero rows", 0, 5, 9, small, weight, false},
+		{"zero DKVs", 3, 0, 9, small, weight, false},
+		{"all-zero rows", 6, 8, 36, small, weight, true},
+		{"dense-wide", 3, 10, 1000, small, weight, false},
+		{"near 2^31 weights", 4, 8, 5, small, huge, false},
+		{"near 2^31 rows", 4, 8, 5, huge, weight, false},
+		{"int64 wrap", 3, 5, 7, wide, wide, false},
+		{"negative rows", 4, 4, 3, weight, weight, false},
+	}
+	for _, tc := range cases {
+		rows := make([]int, tc.nr*tc.s)
 		for i := range rows {
-			rows[i] = rng.Intn(256)
+			if !tc.zeroRows {
+				rows[i] = tc.row()
+			}
 		}
-		dkv := make([]int, n)
-		for i := range dkv {
-			dkv[i] = rng.Intn(511) - 255
+		dkvs := make([]int, tc.nd*tc.s)
+		for i := range dkvs {
+			dkvs[i] = tc.w()
 		}
-		out := make([]int, nrows)
-		quant.ExactEngine{}.DotRows(rows, dkv, nil, out)
-		for i, got := range out {
-			if want := (quant.ExactEngine{}).Dot(rows[i*n:(i+1)*n], dkv); got != want {
-				t.Fatalf("%d rows of %d lanes: row %d = %d, Dot = %d", nrows, n, i, got, want)
+		out := make([]int, tc.nr*tc.nd)
+		quant.ExactEngine{}.DotTile(rows, dkvs, tc.s, out)
+		for j := 0; j < tc.nd; j++ {
+			for i := 0; i < tc.nr; i++ {
+				want := quant.ExactEngine{}.Dot(rows[i*tc.s:(i+1)*tc.s], dkvs[j*tc.s:(j+1)*tc.s])
+				if got := out[j*tc.nr+i]; got != want {
+					t.Fatalf("%s: row %d DKV %d = %d, Dot = %d", tc.name, i, j, got, want)
+				}
 			}
 		}
 	}
 }
 
-// rowNets builds the networks the row-boundary tests sweep: the small
-// and depthwise CNNs (padding-truncated windows, pixel-major im2col) and
-// a network whose convolutions all see full windows (pad-0 3x3 and 1x1:
-// the example-major im2col and its per-example pixel runs).
+// rowNets builds the networks the tile-boundary tests sweep: the small
+// and depthwise CNNs (padded windows, standard and depthwise grouping)
+// and a network whose convolutions never reach into padding (pad-0 3x3
+// and 1x1).
 func rowNets(t testing.TB) map[string]*quant.Network {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
@@ -112,10 +144,9 @@ func assertLogitsBitIdentical(t *testing.T, what string, got, want []*tensor.T) 
 }
 
 // TestForwardBatchSharedEngineRowsMatchDot: one packed engine serving
-// whole batches through DotRows, with the lowering's row digests, must
-// match the same engine hidden behind a Dot-only wrapper bit for bit —
-// noisy ADC over consecutive batches, and an ideal ADC on mixed
-// sparse/dense batches.
+// whole batches through DotTile must match the same engine hidden
+// behind a Dot-only wrapper bit for bit — noisy ADC over consecutive
+// batches, and an ideal ADC on mixed sparse/dense batches.
 func TestForwardBatchSharedEngineRowsMatchDot(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Bits = 8
@@ -149,11 +180,11 @@ func TestForwardBatchSharedEngineRowsMatchDot(t *testing.T) {
 	}
 }
 
-// TestForwardBatchCompositionIndependent: on a noisy engine an
-// example's logits are a pure function of the example — bit-identical
-// served alone, at every position of a batch, and beside different
-// batch-mates — on the packed and the scalar engines, over every rowNets
-// geometry (padding-truncated, depthwise and full-window).
+// TestForwardBatchCompositionIndependent: an example's logits are a pure
+// function of the example — bit-identical served alone, at every
+// position of a batch, and beside different batch-mates — on the noisy
+// packed engine and the exact engine (both through DotTile) and the
+// noisy scalar engine (Dot per row), over every rowNets geometry.
 func TestForwardBatchCompositionIndependent(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Bits = 8
@@ -163,6 +194,7 @@ func TestForwardBatchCompositionIndependent(t *testing.T) {
 	builds := map[string]func() (quant.DotEngine, error){
 		"packed": func() (quant.DotEngine, error) { return sckernel.New(cfg) },
 		"scalar": func() (quant.DotEngine, error) { return quant.NewSconnaEngine(cfg) },
+		"exact":  func() (quant.DotEngine, error) { return quant.ExactEngine{}, nil },
 	}
 	xs := rowInputs(4, 0, 21)
 	others := rowInputs(3, 0, 22)
@@ -228,11 +260,43 @@ func TestForwardBatchOneAtATimeMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestForwardBatchMatchesTruncatedReference pins the engines whose
+// result depends only on nonzero lanes — exact arithmetic and the
+// ideal-ADC scalar and packed SC engines — to the padding-truncating
+// reference the lowering used before it took full windows: their logits
+// did not move. Batches mix sparse-path and dense-path examples.
+func TestForwardBatchMatchesTruncatedReference(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Bits = 8
+	cfg.N = 16
+	cfg.M = 1
+	cfg.IdealADC = true
+	builds := map[string]func() (quant.DotEngine, error){
+		"exact":        func() (quant.DotEngine, error) { return quant.ExactEngine{}, nil },
+		"scalar-ideal": func() (quant.DotEngine, error) { return quant.NewSconnaEngine(cfg) },
+		"packed-ideal": func() (quant.DotEngine, error) { return sckernel.New(cfg) },
+	}
+	xs := rowInputs(5, 2, 37)
+	for name, qn := range rowNets(t) {
+		for ename, build := range builds {
+			eng, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := qn.ForwardBatch(xs, []quant.DotEngine{eng}, nil)
+			for i, x := range xs {
+				want := qn.ForwardTruncated(x, eng)
+				assertLogitsBitIdentical(t, fmt.Sprintf("%s/%s input %d", name, ename, i), got[i:i+1], []*tensor.T{want})
+			}
+		}
+	}
+}
+
 // BenchmarkQuantForwardBatch times one 32-input micro-batch of the
 // served model — sconnaserve's in-process recipe: the width-4 small CNN
 // trained on 192 dataset images for 4 epochs, quantized at 8 bits —
 // through ForwardBatch on one shared engine: the exact and packed-SC
-// engines through the DotRows boundary, and each behind a Dot-only
+// engines through the DotTile boundary, and each behind a Dot-only
 // wrapper (the per-call path) for comparison. ns/op is per batch.
 func BenchmarkQuantForwardBatch(b *testing.B) {
 	net := nn.BuildSmallCNN(4, dataset.NumClasses, 11)

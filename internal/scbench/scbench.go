@@ -101,9 +101,10 @@ func PackedDot(b *testing.B) {
 	}
 }
 
-// PackedDotBatch times Engine.DotRows over a serving-sized micro-batch
-// of flat operand rows sharing one weight vector (the conv inner loop's
-// engine-facing shape); ns/op is per call, i.e. smokeBatch dots.
+// PackedDotBatch times Engine.DotTile over a serving-sized tile: a
+// micro-batch of flat operand rows against one weight vector (the
+// engine-facing shape of a one-channel tile); ns/op is per call, i.e.
+// smokeBatch dots, each row digested inside the call.
 func PackedDotBatch(b *testing.B) {
 	e, err := sckernel.New(Config())
 	if err != nil {
@@ -116,16 +117,11 @@ func PackedDotBatch(b *testing.B) {
 	for i := range rows {
 		rows[i] = rng.Intn(scale + 1)
 	}
-	// The lowering digests each row once per layer, not once per call.
-	keys := make([]uint64, smokeBatch)
-	for i := range keys {
-		keys[i] = core.VecKey(rows[i*smokeLen : (i+1)*smokeLen])
-	}
 	out := make([]int, smokeBatch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.DotRows(rows, dkv, keys, out)
+		e.DotTile(rows, dkv, smokeLen, out)
 	}
 }
 

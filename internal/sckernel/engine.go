@@ -25,10 +25,15 @@ type Engine struct {
 	adc     *core.ADC
 	maxOnes int
 
-	// packs is the DotRows weight-pack scratch: one packed DKV per psum
-	// chunk, rebuilt per call, retained across calls so a pooled engine
-	// allocates nothing on the serving hot path.
-	packs []PackedDKV
+	// DotTile scratch, rebuilt per call and retained across calls so a
+	// pooled engine allocates nothing on the serving hot path: one packed
+	// DKV and one digest per DKV, a row chunk's compacted nonzero lanes,
+	// and a row's PCA counts per (DKV, chunk).
+	packs   []PackedDKV
+	dkvKeys []uint64
+	cval    []int
+	cidx    []int
+	counts  []int
 }
 
 // New builds a packed engine for the functional configuration cfg,
@@ -136,81 +141,79 @@ func (e *Engine) Chunks(s int) int {
 	return (s + n - 1) / n
 }
 
-// DotRows implements quant.RowDotter: one shared signed weight vector
-// against every operand row, out[i] = Dot(rows[i*n:(i+1)*n], dkv) with
-// n = len(dkv). The weight vector is packed once per call — magnitudes
-// validated, signs lifted into lane masks, one PackedDKV per psum
-// chunk — and reused across every row, which is the weight-stationary
-// amortization: the serving plane applies one conv weight row to every
-// dense example of a micro-batch.
-//
-// keys[i] is row i's core.VecKey, which the caller computes once per row
-// however many weight vectors the row meets; nil keys make the engine
-// digest each row itself. Either way DotRows equals the Dot loop bit for
-// bit (pinned by the row equivalence tests) and panics where it would.
-func (e *Engine) DotRows(rows, dkv []int, keys []uint64, out []int) {
-	s := len(dkv)
-	if len(out) == 0 {
-		return // no rows, no calls: nothing to validate
+// DotTile implements quant.TileDotter: out[j*r+i] = Dot(row i, DKV j)
+// for the r = len(rows)/s rows and the len(dkvs)/s DKVs, bit for bit.
+// Each DKV is validated and packed once per call (and digested once for
+// a noisy ADC) and each row is digested once, however many DKVs it
+// meets. Within each psum chunk a row's nonzero lanes are compacted once
+// (every lane range-checked) and every DKV runs over that list: a zero
+// DIV lane adds exactly 0 to both PCA counts in every Plane kernel, and
+// the chunk seams and the row digest still cover every lane, so the
+// counts, the keyed ADC draws and the estimates are Dot's. Each DKV's
+// chunks then convert in order on its own keyed ADC stream. DotTile
+// panics where the Dot loop would (pinned by the tile equivalence tests).
+func (e *Engine) DotTile(rows, dkvs []int, s int, out []int) {
+	nr, nd := len(rows)/s, len(dkvs)/s
+	if nr == 0 || nd == 0 {
+		return // no Dot calls: nothing to validate
 	}
-	if err := e.packDKV(dkv); err != nil {
-		panic(fmt.Sprintf("sckernel: packed dot failed: %v", err))
-	}
-	var dkvKey uint64
-	if !e.adc.Ideal() {
-		dkvKey = core.VecKey(dkv)
-	}
-	for v := range out {
-		row := rows[v*s : (v+1)*s]
-		switch {
-		case e.adc.Ideal():
-		case keys != nil:
-			e.adc.Start(core.RowKey(keys[v], dkvKey))
-		default:
-			e.adc.Start(core.RowKey(core.VecKey(row), dkvKey))
-		}
-		est, err := e.dotPacked(row)
-		if err != nil {
-			panic(fmt.Sprintf("sckernel: packed dot failed: %v", err))
-		}
-		out[v] = est
-	}
-}
-
-// dotPacked is DotLarge's estimate for one DIV against the DKV packed in
-// e.packs (len(div) must equal the packed length) on the row already
-// started on e.adc: the same chunk seams, the same ADC draws.
-func (e *Engine) dotPacked(div []int) (int, error) {
-	n := e.cfg.N
-	scale := 1 << uint(e.cfg.Bits)
-	est := 0
-	for c := 0; c*n < len(div); c++ {
-		pos, neg, err := e.plane.DotPacked(div[c*n:min((c+1)*n, len(div))], &e.packs[c])
-		if err != nil {
-			return 0, err
-		}
-		cest, _, err := e.convert(pos, neg, scale)
-		if err != nil {
-			return 0, err
-		}
-		est += cest
-	}
-	return est, nil
-}
-
-// packDKV packs dkv into e.packs, one PackedDKV per psum chunk.
-func (e *Engine) packDKV(dkv []int) error {
-	n := e.cfg.N
-	nchunks := e.Chunks(len(dkv))
-	for len(e.packs) < nchunks {
+	ideal := e.adc.Ideal()
+	for len(e.packs) < nd {
 		e.packs = append(e.packs, PackedDKV{})
 	}
-	for c := 0; c < nchunks; c++ {
-		if err := e.plane.PackDKV(&e.packs[c], dkv[c*n:min((c+1)*n, len(dkv))]); err != nil {
-			return err
+	e.dkvKeys = grow(e.dkvKeys, nd)
+	for j := range nd {
+		dkv := dkvs[j*s : (j+1)*s]
+		if err := e.plane.PackDKV(&e.packs[j], dkv); err != nil {
+			panic(fmt.Sprintf("sckernel: packed dot failed: %v", err))
+		}
+		if !ideal {
+			e.dkvKeys[j] = core.VecKey(dkv)
 		}
 	}
-	return nil
+	n, nch := e.cfg.N, e.Chunks(s)
+	scale := 1 << uint(e.cfg.Bits)
+	e.counts = grow(e.counts, 2*nd*nch)
+	e.cval = grow(e.cval, min(n, s))
+	e.cidx = grow(e.cidx, min(n, s))
+	counts, cval, cidx, l := e.counts, e.cval, e.cidx, e.plane.L
+	for i := range nr {
+		row := rows[i*s : (i+1)*s]
+		for c := range nch {
+			m := 0
+			for k, ib := range row[c*n : min((c+1)*n, s)] {
+				if uint(ib) > uint(l) {
+					panic(fmt.Sprintf("sckernel: packed dot failed: input out of range at lane %d (i=%d)", c*n+k, ib))
+				}
+				if ib != 0 {
+					cval[m], cidx[m] = ib, c*n+k
+					m++
+				}
+			}
+			for j := range nd {
+				counts[2*(j*nch+c)], counts[2*(j*nch+c)+1] = e.plane.countsAt(cval[:m], cidx[:m], &e.packs[j])
+			}
+		}
+		var rowKey uint64
+		if !ideal {
+			rowKey = core.VecKey(row)
+		}
+		for j := range nd {
+			if !ideal {
+				e.adc.Start(core.RowKey(rowKey, e.dkvKeys[j]))
+			}
+			est := 0
+			cnt := counts[2*j*nch : 2*(j+1)*nch]
+			for c := 0; c < len(cnt); c += 2 {
+				cest, _, err := e.convert(cnt[c], cnt[c+1], scale)
+				if err != nil {
+					panic(fmt.Sprintf("sckernel: packed dot failed: %v", err))
+				}
+				est += cest
+			}
+			out[j*nr+i] = est
+		}
+	}
 }
 
 // EngineFactory returns a quant.EngineFactory building one packed
@@ -221,4 +224,13 @@ func (e *Engine) packDKV(dkv []int) error {
 // tests).
 func EngineFactory(cfg core.Config) quant.EngineFactory {
 	return func(int) (quant.DotEngine, error) { return New(cfg) }
+}
+
+// grow resizes buf to n elements, reallocating only when capacity is
+// short. Contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

@@ -5,18 +5,38 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/bitstream"
 	"repro/internal/quant"
 )
 
-// TestDotRowsMatchesSequentialDot: DotRows must be bit-identical to
-// calling Dot row by row — with caller-supplied row keys and with nil
-// keys — across consecutive DotRows calls on one engine, with noisy and
-// ideal ADCs and rows whose length crosses the psum chunk seams.
+// tileOperands draws nr rows and nd DKVs of s lanes at precision bits;
+// rows listed in zeroRows stay all zero.
+func tileOperands(rng *rand.Rand, bits, nr, nd, s int, zeroRows ...int) (rows, dkvs []int) {
+	scale := 1 << uint(bits)
+	rows = make([]int, nr*s)
+	for i := range rows {
+		rows[i] = rng.Intn(scale + 1)
+	}
+	for _, r := range zeroRows {
+		clear(rows[r*s : (r+1)*s])
+	}
+	dkvs = make([]int, nd*s)
+	for i := range dkvs {
+		dkvs[i] = rng.Intn(2*scale+1) - scale
+	}
+	return rows, dkvs
+}
+
+// TestDotRowsMatchesSequentialDot: every row of a DotTile must equal
+// sequential Dot calls per (row, DKV) bit for bit, on the noisy and the
+// ideal-ADC packed engine, over consecutive calls on one engine and
+// shapes off every tile multiple: S not a multiple of N, row and DKV
+// counts that are not multiples of four, all-zero rows, and a
+// dense-layer-wide row spanning many psum chunks.
 func TestDotRowsMatchesSequentialDot(t *testing.T) {
 	for _, ideal := range []bool{false, true} {
 		cfg := testCfg(8, ideal)
-		rowed, err := New(cfg)
+		tiled, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,48 +44,34 @@ func TestDotRowsMatchesSequentialDot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var _ quant.RowDotter = rowed
+		var _ quant.TileDotter = tiled
 		rng := rand.New(rand.NewSource(5))
-		scale := 1 << uint(cfg.Bits)
-		length := 3*cfg.N + 7 // crosses chunk seams
-		const nrows = 9
-		for round := 0; round < 3; round++ {
-			dkv := make([]int, length)
-			for i := range dkv {
-				dkv[i] = rng.Intn(2*scale+1) - scale
-			}
-			rows := make([]int, nrows*length)
-			for i := range rows {
-				rows[i] = rng.Intn(scale + 1)
-			}
-			var keys []uint64
-			if round%2 == 0 {
-				keys = rowKeys(rows, length)
-			}
-			out := make([]int, nrows)
-			rowed.DotRows(rows, dkv, keys, out)
-			for v := range out {
-				if want := serial.Dot(rows[v*length:(v+1)*length], dkv); out[v] != want {
-					t.Fatalf("round %d ideal=%v row %d: DotRows %d != sequential Dot %d",
-						round, ideal, v, out[v], want)
+		for _, sh := range []struct{ nr, nd, s int }{
+			{9, 5, 3*cfg.N + 7},
+			{4, 4, cfg.N},
+			{7, 1, 2*cfg.N + 1},
+			{3, 13, 1},
+			{2, 6, 40*cfg.N + 3},
+		} {
+			rows, dkvs := tileOperands(rng, cfg.Bits, sh.nr, sh.nd, sh.s, 0, sh.nr-1)
+			out := make([]int, sh.nr*sh.nd)
+			tiled.DotTile(rows, dkvs, sh.s, out)
+			for j := 0; j < sh.nd; j++ {
+				for i := 0; i < sh.nr; i++ {
+					want := serial.Dot(rows[i*sh.s:(i+1)*sh.s], dkvs[j*sh.s:(j+1)*sh.s])
+					if got := out[j*sh.nr+i]; got != want {
+						t.Fatalf("ideal=%v %dx%dx%d: row %d DKV %d: DotTile %d != Dot %d",
+							ideal, sh.nr, sh.nd, sh.s, i, j, got, want)
+					}
 				}
 			}
 		}
 	}
 }
 
-// rowKeys digests each length-lane row, as the lowering does.
-func rowKeys(rows []int, length int) []uint64 {
-	keys := make([]uint64, len(rows)/length)
-	for i := range keys {
-		keys[i] = core.VecKey(rows[i*length : (i+1)*length])
-	}
-	return keys
-}
-
-// TestDotRowsOrderFree: noisy DotRows over a permutation of the rows
-// and their keys returns the same results, permuted — no row's ADC
-// error depends on its position in the call.
+// TestDotRowsOrderFree: noisy DotTile over a permutation of the rows and
+// of the DKVs returns the same results, permuted — no conversion's ADC
+// error depends on where its operands sit in the tile.
 func TestDotRowsOrderFree(t *testing.T) {
 	cfg := testCfg(8, false)
 	e, err := New(cfg)
@@ -73,52 +79,50 @@ func TestDotRowsOrderFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(6))
-	scale := 1 << uint(cfg.Bits)
-	length := 2*cfg.N + 5
-	const nrows = 12
-	dkv := make([]int, length)
-	for i := range dkv {
-		dkv[i] = rng.Intn(2*scale+1) - scale
+	const nr, nd = 12, 6
+	s := 2*cfg.N + 5
+	rows, dkvs := tileOperands(rng, cfg.Bits, nr, nd, s)
+	want := make([]int, nr*nd)
+	e.DotTile(rows, dkvs, s, want)
+	rp, dp := rng.Perm(nr), rng.Perm(nd)
+	prows, pdkvs := make([]int, len(rows)), make([]int, len(dkvs))
+	for i, p := range rp {
+		copy(prows[i*s:(i+1)*s], rows[p*s:(p+1)*s])
 	}
-	rows := make([]int, nrows*length)
-	for i := range rows {
-		rows[i] = rng.Intn(scale + 1)
+	for j, p := range dp {
+		copy(pdkvs[j*s:(j+1)*s], dkvs[p*s:(p+1)*s])
 	}
-	keys := rowKeys(rows, length)
-	want := make([]int, nrows)
-	e.DotRows(rows, dkv, keys, want)
-	perm := rng.Perm(nrows)
-	prows := make([]int, len(rows))
-	pkeys := make([]uint64, nrows)
-	for i, p := range perm {
-		copy(prows[i*length:(i+1)*length], rows[p*length:(p+1)*length])
-		pkeys[i] = keys[p]
-	}
-	got := make([]int, nrows)
-	e.DotRows(prows, dkv, pkeys, got)
-	for i, p := range perm {
-		if got[i] != want[p] {
-			t.Fatalf("row %d at position %d: %d, in order %d", p, i, got[i], want[p])
+	got := make([]int, nr*nd)
+	e.DotTile(prows, pdkvs, s, got)
+	for j, q := range dp {
+		for i, p := range rp {
+			if got[j*nr+i] != want[q*nr+p] {
+				t.Fatalf("row %d DKV %d at (%d, %d): %d, in order %d", p, q, i, j, got[j*nr+i], want[q*nr+p])
+			}
 		}
 	}
 }
 
-// TestDotRowsOperandContract: DotRows panics where the Dot loop would —
-// on an out-of-range weight or input — and not at all on zero rows,
-// where the loop makes no call.
+// TestDotRowsOperandContract: DotTile panics where the Dot loop over its
+// rows would — on an out-of-range weight or input lane, zero lanes
+// included — and not at all when there are no rows or no DKVs, where the
+// loop makes no call.
 func TestDotRowsOperandContract(t *testing.T) {
 	e, err := New(testCfg(4, true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	scale := 1 << 4
-	e.DotRows(nil, []int{-scale - 1}, nil, nil) // zero rows: no call, no panic
+	e.DotTile(nil, []int{-scale - 1}, 1, nil) // zero rows: no call, no panic
+	e.DotTile([]int{scale + 1}, nil, 1, nil)  // zero DKVs: no call, no panic
 	for _, tc := range []struct {
-		name      string
-		rows, dkv []int
+		name       string
+		rows, dkvs []int
+		s          int
 	}{
-		{"over-range weight", []int{1, 1}, []int{1, -scale - 1}},
-		{"over-range input in row 1", []int{1, 1, 1, scale + 1}, []int{1, 1}},
+		{"over-range weight in DKV 1", []int{1, 1}, []int{1, 1, 1, -scale - 1}, 2},
+		{"over-range input in row 1", []int{1, 1, 0, scale + 1}, []int{1, 1}, 2},
+		{"negative input after zeros", []int{0, 0, 0, -1}, []int{1, 1, 1, 1}, 4},
 	} {
 		func() {
 			defer func() {
@@ -128,8 +132,65 @@ func TestDotRowsOperandContract(t *testing.T) {
 					t.Fatalf("%s: panic %v lacks package context", tc.name, r)
 				}
 			}()
-			e.DotRows(tc.rows, tc.dkv, nil, make([]int, len(tc.rows)/len(tc.dkv)))
+			e.DotTile(tc.rows, tc.dkvs, tc.s, make([]int, len(tc.rows)/tc.s*len(tc.dkvs)/tc.s))
 		}()
+		// Dot panics on the same operands.
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: Dot did not panic", tc.name)
+				}
+			}()
+			for i := 0; i < len(tc.rows); i += tc.s {
+				for j := 0; j < len(tc.dkvs); j += tc.s {
+					e.Dot(tc.rows[i:i+tc.s], tc.dkvs[j:j+tc.s])
+				}
+			}
+		}()
+	}
+}
+
+// TestCountsAtMatchesDotPacked: the compacted count kernel over a DIV's
+// nonzero lanes equals DotPacked over the full DIV on every Plane kernel
+// (analytic, prefix-popcount and generic word walk): a zero DIV lane
+// adds nothing to either count.
+func TestCountsAtMatchesDotPacked(t *testing.T) {
+	const bits = 6
+	pfx := NewPlane(bits, bitstream.Unary{}, bitstream.Bresenham{})
+	pfx.analytic = false
+	planes := map[string]*Plane{
+		"analytic": PlaneFor(bits),
+		"prefix":   pfx,
+		"generic":  NewPlane(bits, bitstream.VanDerCorput{}, bitstream.Bresenham{}),
+	}
+	rng := rand.New(rand.NewSource(8))
+	for name, p := range planes {
+		for trial := 0; trial < 50; trial++ {
+			n := 1 + rng.Intn(40)
+			rows, dkv := tileOperands(rng, bits, 1, 1, n)
+			for i := range rows {
+				if rng.Intn(2) == 0 {
+					rows[i] = 0
+				}
+			}
+			var w PackedDKV
+			if err := p.PackDKV(&w, dkv); err != nil {
+				t.Fatal(err)
+			}
+			wantPos, wantNeg, err := p.DotPacked(rows, &w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var vals, idx []int
+			for k, v := range rows {
+				if v != 0 {
+					vals, idx = append(vals, v), append(idx, k)
+				}
+			}
+			if pos, neg := p.countsAt(vals, idx, &w); pos != wantPos || neg != wantNeg {
+				t.Fatalf("%s trial %d: countsAt (%d, %d) != DotPacked (%d, %d)", name, trial, pos, neg, wantPos, wantNeg)
+			}
+		}
 	}
 }
 

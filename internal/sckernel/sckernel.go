@@ -353,3 +353,47 @@ func (p *Plane) DotPacked(div []int, w *PackedDKV) (pos, neg int, err error) {
 	}
 	return pos, neg, nil
 }
+
+// countsAt is DotPacked over a compacted DIV: vals[t] is the DIV value
+// at lane idx[t] of the packed weight vector, already range-checked, and
+// every lane not listed holds zero, which adds nothing to either count
+// in any kernel. The result equals DotPacked on the full DIV.
+func (p *Plane) countsAt(vals, idx []int, w *PackedDKV) (pos, neg int) {
+	idx = idx[:len(vals)]
+	mags, negm := w.mags[:w.n], w.negm[:w.n]
+	switch {
+	case !p.unaryInput:
+		ws := p.W
+		for t, ib := range vals {
+			k := idx[t]
+			wb := mags[k]
+			iw := p.iw[ib*ws : ib*ws+ws]
+			wwRow := p.ww[wb*ws : wb*ws+ws : wb*ws+ws]
+			c := 0
+			for j, word := range iw {
+				c += bits.OnesCount64(word & wwRow[j])
+			}
+			neg += c & negm[k]
+			pos += c &^ negm[k]
+		}
+	case p.analytic:
+		shift := uint(p.Bits)
+		for t, ib := range vals {
+			k := idx[t]
+			c := ib * mags[k] >> shift
+			neg += c & negm[k]
+			pos += c &^ negm[k]
+		}
+	default:
+		w1 := p.W + 1
+		wwp, wpfx := p.wwp, p.wpfx
+		for t, ib := range vals {
+			k := idx[t]
+			base := mags[k]*w1 + ib>>6
+			c := int(wpfx[base]) + bits.OnesCount64(wwp[base]&(1<<(uint(ib)&63)-1))
+			neg += c & negm[k]
+			pos += c &^ negm[k]
+		}
+	}
+	return pos, neg
+}

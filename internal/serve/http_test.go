@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/quant"
+	"repro/internal/sckernel"
 )
 
 func httpServer(t *testing.T, factory quant.EngineFactory, opts Options) (*Server, *httptest.Server) {
@@ -317,11 +318,12 @@ func TestHTTPCompactWireFormats(t *testing.T) {
 
 // The HTTP-level replay pin: a deterministic server fed the same trace
 // twice — across restarts and different pool sizes — must emit
-// byte-identical response bodies.
+// byte-identical response bodies, on the scalar SC engine (one Dot per
+// operand row) and on the packed engine (one DotTile per layer tile),
+// and the two engines' bodies must match each other.
 func TestHTTPDeterministicReplayBytes(t *testing.T) {
-	factory := quant.SconnaEngineFactory(testCoreConfig())
 	trace := testInputs(8, 89)
-	run := func(pool, maxBatch int) []string {
+	run := func(factory quant.EngineFactory, pool, maxBatch int) []string {
 		_, hs := httpServer(t, factory, Options{
 			InputShape: testShape, PoolSize: pool, MaxBatch: maxBatch, QueueDepth: 64,
 		})
@@ -335,13 +337,22 @@ func TestHTTPDeterministicReplayBytes(t *testing.T) {
 		}
 		return bodies
 	}
-	first := run(1, 1)
-	for _, cfg := range []struct{ pool, maxBatch int }{{1, 1}, {3, 8}} {
-		again := run(cfg.pool, cfg.maxBatch)
+	first := run(quant.SconnaEngineFactory(testCoreConfig()), 1, 1)
+	for _, cfg := range []struct {
+		name           string
+		factory        quant.EngineFactory
+		pool, maxBatch int
+	}{
+		{"scalar", quant.SconnaEngineFactory(testCoreConfig()), 1, 1},
+		{"scalar", quant.SconnaEngineFactory(testCoreConfig()), 3, 8},
+		{"packed", sckernel.EngineFactory(testCoreConfig()), 1, 1},
+		{"packed", sckernel.EngineFactory(testCoreConfig()), 3, 8},
+	} {
+		again := run(cfg.factory, cfg.pool, cfg.maxBatch)
 		for i := range first {
 			if first[i] != again[i] {
-				t.Fatalf("pool=%d maxBatch=%d: response %d drifted:\n%s\nvs\n%s",
-					cfg.pool, cfg.maxBatch, i, first[i], again[i])
+				t.Fatalf("%s pool=%d maxBatch=%d: response %d drifted:\n%s\nvs\n%s",
+					cfg.name, cfg.pool, cfg.maxBatch, i, first[i], again[i])
 			}
 		}
 	}
