@@ -278,15 +278,21 @@
 //     its ForwardNaive operands, so every response is a pure function
 //     of (network, input) — bit-identical when a recorded trace
 //     replays, at any pool size, pool slot and batching (pinned by
-//     replay tests at both the Result and the HTTP-byte level). New
-//     and Register walk the network over the served input shape and
-//     refuse a mis-chained artifact with an error.
+//     replay tests at both the Result and the HTTP-byte level).
+//     Register walks the network over the served input shape and
+//     refuses a mis-chained artifact with an error.
 //
-//   - Operations: POST /v1/classify accepts single, batched, base64 and
-//     raw binary (octet-stream float32) bodies; GET /healthz flips to
-//     503 once draining; GET /stats reports queue depth, a batch-size
-//     histogram, latency quantiles (p50/p90/p99/p999) with the full
-//     log2 bucket list, and engine-pool utilization. Shutdown
+//   - Operations: serve.Registry's Handler is the one HTTP surface, and
+//     a single model is a one-entry registry; sconnaserve,
+//     examples/serving and bench/ all serve it. Classify routes accept
+//     single, batched, base64 and raw binary (octet-stream float32)
+//     bodies; GET /healthz flips to 503 once draining; each model's
+//     stats (GET /v1/models/{name}/stats and its /stats section) report
+//     queue depth, a batch-size histogram, latency quantiles
+//     (p50/p90/p99/p999) with the full log2 bucket list, and
+//     engine-pool utilization. /stats and /metrics render from one
+//     snapshot, and the served count is the latency histogram's count,
+//     so the two never disagree. Shutdown
 //     drains gracefully: admissions stop, the backlog finishes, workers
 //     exit. Classify bodies are bounded by queue capacity times input
 //     size (413 past it), and non-finite inputs are 400s. Served
@@ -318,8 +324,9 @@
 //   - Routing: POST /v1/models/{name}/classify reaches the named model
 //     (404 for unknown names); GET /v1/models lists name, version and
 //     per-model stats (as does GET /stats); the legacy POST /v1/classify
-//     stays a byte-compatible alias for the default (first-registered)
-//     model, pinned by the alias replay test.
+//     is an alias for the default (first-registered) model whose bodies
+//     equal the routed path's and the JSON of its Submit results,
+//     pinned by the alias test.
 //
 //   - Lifecycle: Register and Unregister are safe under live traffic —
 //     an unregistered model drains gracefully (admitted work finishes,
@@ -374,7 +381,7 @@
 // disturbing what the other planes pinned — determinism, floors,
 // byte-identical replays — and without a metrics dependency:
 //
-//   - Per-request tracing: when ServeOptions.Telemetry is set, every
+//   - Per-request tracing: when serve.Options.Telemetry is set, every
 //     request carries a span from HTTP decode through admission, queue,
 //     batch assembly, engine checkout, forward and response. Its trace
 //     ID is splitmix64 of the arrival seq (telemetry.TraceID), so the
@@ -419,7 +426,9 @@
 //     store at GET /v1/artifacts[/{digest}]; sconnaserve -store-put
 //     publishes into one, and replicas boot from it with
 //     -pull name=digest (against -store-dir or a remote -store-url),
-//     registering pulled models exactly as -model does.
+//     registering pulled models exactly as -model does. GET /v1/models
+//     exports each model's artifact digest, the version the fleet plane
+//     stores and pulls by.
 //
 //   - Router: sconnaserve -router -replica host:port,... places model
 //     names on a bounded-load rendezvous ring (splitmix64 scores, 1.25x
@@ -442,15 +451,9 @@
 //     copy) answers the unsharded run with 100% cache hits and stdout
 //     byte-identical to a single-machine run.
 //
-//   - Traffic splitting: Registry.SetSplit aliases two registered
-//     models behind one name and routes each request by a splitmix64
-//     hash of (split seed, request seq) — an A/B canary whose variant
-//     choice replays bit-identically per seed; the chosen model is
-//     stamped in X-Split-Model and per-variant counts land in /stats.
-//     GET /v1/models now exports each model's artifact digest, which is
-//     the version the fleet plane stores and pulls by.
-//
-// This package re-exports the stable public surface; see README.md for a
-// tour and EXPERIMENTS.md for paper-vs-measured results of every table
-// and figure.
+// This package re-exports the paper-facing planes: functional,
+// performance, scalability, accuracy and the quantized compute plane.
+// Serving, resilience, telemetry and the fleet are internal packages
+// driven by cmd/sconnaserve. See examples/ for walkthroughs and
+// cmd/experiments for every table and figure.
 package sconna

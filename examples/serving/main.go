@@ -204,7 +204,7 @@ func main() {
 	// joining any client-stamped X-Trace-Id), per-stage latencies land
 	// in log2 histograms, and the surface exports as Prometheus text on
 	// GET /metrics plus a Chrome trace-event dump on GET /debug/traces.
-	// A nil ServeOptions.Telemetry (the default) keeps the zero-cost
+	// A nil serve.Options.Telemetry (the default) keeps the zero-cost
 	// path.
 	to := opts
 	to.Telemetry = &telemetry.Options{TraceRing: 64}

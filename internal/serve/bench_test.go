@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"io"
@@ -77,27 +76,20 @@ func rawBatchBody(xs [][]float32, n int) []byte {
 }
 
 // benchServer builds one leg of the smoke serving stack in throughput
-// mode: the smoke network behind an engine pool built from factory. The
-// exact-integer engine is the amortization-floor configuration (serving
-// overheads dominate, so the micro-batching win is fully visible); the
-// SCONNA functional engine shows the compute-bound end, where the
-// stream simulation caps how much batching can recover.
-func benchServer(tb testing.TB, factory quant.EngineFactory) *Server {
+// mode: the smoke network, served as a one-model registry, behind an
+// engine pool built from factory. The exact-integer engine is the
+// amortization-floor configuration (serving overheads dominate, so the
+// micro-batching win is fully visible); the SCONNA functional engine
+// shows the compute-bound end, where the stream simulation caps how
+// much batching can recover.
+func benchServer(tb testing.TB, factory quant.EngineFactory) *Registry {
 	tb.Helper()
-	s, err := New(testNet(tb), factory, Options{
+	reg, _ := servedModel(tb, factory, Options{
 		InputShape: testShape,
 		MaxBatch:   32,
 		QueueDepth: 512,
 	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = s.Drain(ctx)
-	})
-	return s
+	return reg
 }
 
 func benchInputs(tb testing.TB, n int) [][]float32 {
@@ -117,14 +109,14 @@ const (
 	batchedSize    = 32
 )
 
-// speedup measures s over loopback HTTP: serial single-input JSON POSTs
+// speedup measures reg over loopback HTTP: serial single-input JSON POSTs
 // from one closed-loop client (the integration a one-shot caller
 // writes), then batched raw POSTs from concurrent clients, batched/32
 // of them. It returns inputs classified per second for each leg; any
 // answer but 200 fails the test.
-func speedup(t *testing.T, s *Server, serial, batched int) (serialQPS, batchedQPS float64) {
+func speedup(t *testing.T, reg *Registry, serial, batched int) (serialQPS, batchedQPS float64) {
 	t.Helper()
-	hs, base, err := ListenLocal(s.Handler())
+	hs, base, err := ListenLocal(reg.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +198,8 @@ func BenchmarkServeBatchedHTTP(b *testing.B) {
 }
 
 func benchServe(b *testing.B, clients, batch int) {
-	s := benchServer(b, quant.SharedEngine(quant.ExactEngine{}))
-	hs, base, err := ListenLocal(s.Handler())
+	reg := benchServer(b, quant.SharedEngine(quant.ExactEngine{}))
+	hs, base, err := ListenLocal(reg.Handler())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,13 +17,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// classifyRequest is the POST /v1/classify body: exactly one of the
-// input forms must be set. Input/Inputs carry flat pixel arrays in the
-// server's InputShape layout (CHW); InputB64/InputsB64 carry the same
-// tensors as base64 of little-endian float32s (InputsB64 concatenates
-// whole examples, so the batch size is implied by the length) — the
-// compact form high-throughput callers use to keep JSON float parsing
-// off the hot path. Logits asks for raw logits in the response.
+// classifyRequest is the JSON classify body (POST
+// /v1/models/{name}/classify and its /v1/classify alias): exactly one
+// of the input forms must be set. Input/Inputs carry flat pixel arrays
+// in the server's InputShape layout (CHW); InputB64/InputsB64 carry the
+// same tensors as base64 of little-endian float32s (InputsB64
+// concatenates whole examples, so the batch size is implied by the
+// length) — the compact form high-throughput callers use to keep JSON
+// float parsing off the hot path. Logits asks for raw logits in the
+// response.
 type classifyRequest struct {
 	Input     []float32   `json:"input,omitempty"`
 	Inputs    [][]float32 `json:"inputs,omitempty"`
@@ -41,25 +43,8 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// Handler returns the HTTP API:
-//
-//	POST /v1/classify   — classify one input or a batch
-//	GET  /healthz       — liveness (503 once draining)
-//	GET  /stats         — Stats snapshot as JSON
-//	GET  /metrics       — Prometheus text exposition (counters, gauges,
-//	                      latency and per-stage histograms)
-//	GET  /debug/traces  — recent request traces as Chrome trace-event
-//	                      JSON (empty without Options.Telemetry)
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/classify", s.handleClassify)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.Handle("/metrics", telemetry.MetricsHandler(func(f *telemetry.Families) { s.collectInto(f) }))
-	mux.HandleFunc("/debug/traces", s.handleTraces)
-	return mux
-}
-
+// handleClassify answers one classify request for this model; the
+// registry's routes call it behind their quota and breaker gates.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// The decode window is only timed when telemetry is on; the Nop path
 	// takes no timestamps.
@@ -110,6 +95,19 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		results[i] = trimLogits(results[i], req.Logits)
 	}
 	writeJSON(w, http.StatusOK, batchResponse{Results: results})
+}
+
+// httpCtx attaches the HTTP decode timing and the client's stamped
+// trace ID to the admission context. Only when telemetry is on — the
+// Nop path allocates no context values and takes no timestamps.
+func (s *Server) httpCtx(r *http.Request, start time.Time) context.Context {
+	if s.tel == nil {
+		return r.Context()
+	}
+	return telemetry.WithHTTPInfo(r.Context(), telemetry.HTTPInfo{
+		Decode:   time.Since(start),
+		ClientID: r.Header.Get(telemetry.TraceIDHeader),
+	})
 }
 
 // rawContentType selects the binary wire format: the POST body is the
@@ -282,18 +280,6 @@ func trimLogits(res Result, keep bool) Result {
 		res.Logits = nil
 	}
 	return res
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
 }
 
 // writeSubmitError maps batcher errors onto status codes: backpressure

@@ -19,12 +19,11 @@ import (
 	"repro/internal/sckernel"
 )
 
+// httpServer serves a one-model registry (servedModel) over loopback.
 func httpServer(t *testing.T, factory quant.EngineFactory, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
-	s := newTestServer(t, factory, opts)
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(hs.Close)
-	return s, hs
+	reg, s := servedModel(t, factory, opts)
+	return s, registryHTTP(t, reg)
 }
 
 func postJSON(t *testing.T, url, body string) (int, string) {
@@ -119,7 +118,7 @@ func TestHTTPBadRequests(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, "/v1/classify", over)
 	req.Header.Set("Content-Type", rawContentType)
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
+	hs.Config.Handler.ServeHTTP(rec, req)
 	if rec.Code != http.StatusRequestEntityTooLarge || over.Len() == 0 {
 		t.Fatalf("raw body of cap(queue)+1 inputs: %d %s (%d bytes unread), want 413 before the end",
 			rec.Code, rec.Body, over.Len())
@@ -171,7 +170,8 @@ func TestHTTPBackpressure429(t *testing.T) {
 }
 
 func TestHTTPHealthAndStats(t *testing.T) {
-	s, hs := httpServer(t, quant.SharedEngine(quant.ExactEngine{}), exactOpts(nil))
+	reg, s := servedModel(t, quant.SharedEngine(quant.ExactEngine{}), exactOpts(nil))
+	hs := registryHTTP(t, reg)
 	resp, err := http.Get(hs.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestHTTPHealthAndStats(t *testing.T) {
 	if _, err := s.SubmitBatch(context.Background(), testInputs(3, 79)); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Get(hs.URL + "/stats")
+	resp, err = http.Get(hs.URL + "/v1/models/" + DefaultModelName + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +200,11 @@ func TestHTTPHealthAndStats(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := s.Drain(ctx); err != nil {
+	if err := reg.DrainAll(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if !s.Draining() {
+		t.Fatal("DrainAll left the model's server admitting")
 	}
 	resp, err = http.Get(hs.URL + "/healthz")
 	if err != nil {
@@ -356,4 +359,91 @@ func TestHTTPDeterministicReplayBytes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzClassifyBody feeds arbitrary bytes to the served handler, once as
+// a JSON body and once as a raw octet-stream body. The handler never
+// panics, answers 200, 400 or 413, and a 200 carries exactly one result
+// per input the body encodes.
+func FuzzClassifyBody(f *testing.F) {
+	reg, _ := servedModel(f, quant.SharedEngine(quant.ExactEngine{}), Options{
+		InputShape: testShape, PoolSize: 1, MaxBatch: 4, QueueDepth: 4,
+	})
+	h := reg.Handler()
+	n := testShape[0] * testShape[1] * testShape[2]
+	xs := testInputs(2, 59)
+	js := func(data []float32) string {
+		b, _ := json.Marshal(data)
+		return string(b)
+	}
+	var full [][]float32
+	for _, x := range xs {
+		full = append(full, x.Data)
+	}
+	raw := rawBatchBody(full, len(full))
+	b64 := base64.StdEncoding.EncodeToString
+	nonFinite := append([]float32(nil), xs[0].Data...)
+	nonFinite[3] = float32(math.Inf(1))
+	for _, seed := range [][]byte{
+		[]byte(`{"input":` + js(xs[0].Data) + `}`),
+		[]byte(`{"inputs":[` + js(xs[0].Data) + `,` + js(xs[1].Data) + `],"logits":true}`),
+		[]byte(`{"input_b64":"` + b64(raw[:4*n]) + `"}`),
+		[]byte(`{"inputs_b64":"` + b64(raw) + `"}`),
+		raw,
+		rawBatchBody([][]float32{nonFinite}, 1),
+		rawBatchBody(full, 5), // one input past QueueDepth: over the raw body limit
+	} {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, ct := range []string{"application/json", rawContentType} {
+			req := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body))
+			req.Header.Set("Content-Type", ct)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			switch rec.Code {
+			case http.StatusOK:
+			case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+				continue
+			default:
+				t.Fatalf("%s body: status %d %s", ct, rec.Code, rec.Body)
+			}
+			// Count the inputs the body encodes, decoding it the way the
+			// handler does (one JSON value; trailing bytes are ignored).
+			inputs, single := len(body)/(4*n), false
+			if ct != rawContentType {
+				var cr classifyRequest
+				if err := json.NewDecoder(bytes.NewReader(body)).Decode(&cr); err != nil {
+					t.Fatalf("200 for a body that does not decode: %v", err)
+				}
+				switch {
+				case cr.Input != nil || cr.InputB64 != "":
+					inputs, single = 1, true
+				case cr.Inputs != nil:
+					inputs = len(cr.Inputs)
+				default:
+					floats, err := base64.StdEncoding.DecodeString(cr.InputsB64)
+					if err != nil {
+						t.Fatalf("200 for invalid inputs_b64: %v", err)
+					}
+					inputs = len(floats) / (4 * n)
+				}
+			}
+			var resp struct {
+				Results []Result `json:"results"`
+				Class   *int     `json:"class"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%s 200 body does not decode: %v\n%s", ct, err, rec.Body)
+			}
+			if single {
+				if resp.Class == nil || resp.Results != nil {
+					t.Fatalf("single-input 200 is not one result: %s", rec.Body)
+				}
+			} else if len(resp.Results) != inputs || inputs == 0 {
+				t.Fatalf("%s 200 carries %d results for %d inputs", ct, len(resp.Results), inputs)
+			}
+		}
+	})
 }

@@ -39,10 +39,10 @@ func SparseInputs(n, size int, sparsity float64, seed uint64) [][]float32 {
 	return xs
 }
 
-// ListenLocal serves an HTTP API (a single-model Server's Handler, a
-// Registry's, or a fleet router's) on an ephemeral loopback listener,
-// returning the http.Server (Close stops it) and the base URL. The
-// repository benchmark, the tests and in-process walkthroughs share it.
+// ListenLocal serves an HTTP API (a Registry's Handler or a fleet
+// router's) on an ephemeral loopback listener, returning the
+// http.Server (Close stops it) and the base URL. The repository
+// benchmark, the tests and in-process walkthroughs share it.
 func ListenLocal(h http.Handler) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"context"
 	"net/http"
-	"sort"
 	"strconv"
-	"time"
 
 	"repro/internal/opcount"
 	"repro/internal/resilience"
@@ -19,14 +16,12 @@ import (
 // pins name and label ordering — so collectors always create families
 // in the same sequence and only then add samples.
 
-// collectInto folds the server's traffic counters into f. Every sample
-// carries labels first (the registry passes model=<name>; the
-// single-model handler passes none), then the sample's own label.
-func (s *Server) collectInto(f *telemetry.Families, labels ...telemetry.Label) {
-	st := s.Stats()
-	lab := func(extra ...telemetry.Label) []telemetry.Label {
-		return append(append(make([]telemetry.Label, 0, len(labels)+len(extra)), labels...), extra...)
-	}
+// collectInto folds one model's traffic counters into f from st, the
+// same snapshot its /stats section serves, so a scrape's served count
+// and latency _count agree. Every sample carries model=<name> first,
+// then the sample's own label.
+func (s *Server) collectInto(f *telemetry.Families, st Stats, name string) {
+	model := telemetry.L("model", name)
 
 	req := f.Family("sconna_serve_requests_total", "counter",
 		"Requests by outcome: accepted admissions, rejected backpressure, draining refusals, served results, cancelled callers, expired deadlines.")
@@ -37,28 +32,28 @@ func (s *Server) collectInto(f *telemetry.Families, labels ...telemetry.Label) {
 		{"accepted", st.Accepted}, {"rejected", st.Rejected}, {"draining", st.Draining},
 		{"served", st.Served}, {"cancelled", st.Cancelled}, {"expired", st.Expired},
 	} {
-		req.Add(float64(oc.n), lab(telemetry.L("outcome", oc.name))...)
+		req.Add(float64(oc.n), model, telemetry.L("outcome", oc.name))
 	}
 	f.Family("sconna_serve_batches_total", "counter", "Executed micro-batches.").
-		Add(float64(st.Batches), labels...)
+		Add(float64(st.Batches), model)
 	bs := f.Family("sconna_serve_batch_size_total", "counter",
 		"Executed micro-batches by how many requests they carried.")
 	for i, n := range st.BatchSizes {
 		if n > 0 {
-			bs.Add(float64(n), lab(telemetry.L("size", strconv.Itoa(i+1)))...)
+			bs.Add(float64(n), model, telemetry.L("size", strconv.Itoa(i+1)))
 		}
 	}
 	f.Family("sconna_serve_queue_depth", "gauge", "Requests waiting in the bounded queue.").
-		Add(float64(st.QueueDepth), labels...)
+		Add(float64(st.QueueDepth), model)
 	f.Family("sconna_serve_queue_capacity", "gauge", "Bounded-queue capacity.").
-		Add(float64(st.QueueCap), labels...)
+		Add(float64(st.QueueCap), model)
 	f.Family("sconna_serve_engines_busy", "gauge", "Engine-pool slots checked out right now.").
-		Add(float64(st.EnginesBusy), labels...)
+		Add(float64(st.EnginesBusy), model)
 	f.Family("sconna_serve_pool_size", "gauge", "Engine-pool size.").
-		Add(float64(st.PoolSize), labels...)
+		Add(float64(st.PoolSize), model)
 	f.Family("sconna_serve_latency_seconds", "histogram",
 		"Submit-to-result latency (log2-microsecond buckets).").
-		Histogram(s.lat.Snapshot(), labels...)
+		Histogram(st.lat, model)
 
 	stage := f.Family("sconna_serve_stage_latency_seconds", "histogram",
 		"Pipeline-stage latency: decode, admit, queue, assemble, checkout, forward, respond.")
@@ -66,15 +61,15 @@ func (s *Server) collectInto(f *telemetry.Families, labels ...telemetry.Label) {
 		"Request traces recorded by the telemetry plane.")
 	if s.tel != nil {
 		snaps := s.tel.StageSnapshot()
-		for i, name := range telemetry.StageNames() {
-			stage.Histogram(snaps[i], lab(telemetry.L("stage", name))...)
+		for i, stageName := range telemetry.StageNames() {
+			stage.Histogram(snaps[i], model, telemetry.L("stage", stageName))
 		}
-		traces.Add(float64(s.tel.TraceCount()), labels...)
+		traces.Add(float64(s.tel.TraceCount()), model)
 	}
 
 	if o := st.Ops; o != nil {
 		f.Family("sconna_ops_inferences_total", "counter", "Inferences tallied by the op/energy accounting plane.").
-			Add(float64(o.Inferences), labels...)
+			Add(float64(o.Inferences), model)
 		ops := f.Family("sconna_ops_total", "counter",
 			"Arithmetic and memory-traffic ops by lowering (dense equivalent vs executed) and op class.")
 		for _, kc := range []struct {
@@ -85,73 +80,40 @@ func (s *Server) collectInto(f *telemetry.Families, labels ...telemetry.Label) {
 				op string
 				n  uint64
 			}{{"mul", kc.c.Mul}, {"add", kc.c.Add}, {"rd", kc.c.Rd}, {"wr", kc.c.Wr}} {
-				ops.Add(float64(opn.n), lab(telemetry.L("kind", kc.kind), telemetry.L("op", opn.op))...)
+				ops.Add(float64(opn.n), model, telemetry.L("kind", kc.kind), telemetry.L("op", opn.op))
 			}
 		}
 		f.Family("sconna_ops_skipped_fraction", "gauge", "Fraction of dense ops elided by zero skipping.").
-			Add(o.SkippedFrac, labels...)
+			Add(o.SkippedFrac, model)
 		en := f.Family("sconna_energy_uj_per_inference", "gauge",
 			"Per-inference energy in microjoules under each power model.")
-		en.Add(o.ElectronicDenseUJ, lab(telemetry.L("power_model", "electronic_dense"))...)
-		en.Add(o.ElectronicUJ, lab(telemetry.L("power_model", "electronic"))...)
-		en.Add(o.SconnaUJ, lab(telemetry.L("power_model", "sconna"))...)
+		en.Add(o.ElectronicDenseUJ, model, telemetry.L("power_model", "electronic_dense"))
+		en.Add(o.ElectronicUJ, model, telemetry.L("power_model", "electronic"))
+		en.Add(o.SconnaUJ, model, telemetry.L("power_model", "sconna"))
 	}
-}
-
-// httpCtx attaches the HTTP decode timing and the client's stamped
-// trace ID to the admission context. Only when telemetry is on — the
-// Nop path allocates no context values and takes no timestamps.
-func (s *Server) httpCtx(r *http.Request, start time.Time) context.Context {
-	if s.tel == nil {
-		return r.Context()
-	}
-	return telemetry.WithHTTPInfo(r.Context(), telemetry.HTTPInfo{
-		Decode:   time.Since(start),
-		ClientID: r.Header.Get(telemetry.TraceIDHeader),
-	})
-}
-
-// handleTraces serves the telemetry plane's trace ring as Chrome
-// trace-event JSON (load in chrome://tracing or Perfetto). With
-// telemetry off the document is a well-formed empty trace.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = telemetry.WriteChromeTrace(w, s.tel)
 }
 
 // collectInto folds the whole registry into f: registry-level gauges,
 // then every model's server counters labeled model=<name> (sorted, so
 // sample order is stable), then the resilience plane — breaker and
-// admission-quota families.
+// admission-quota families. Every value comes from one RegistryStats
+// snapshot, the document GET /stats serves.
 func (r *Registry) collectInto(f *telemetry.Families) {
-	r.mu.RLock()
-	closed := r.closed
-	budget := r.maxInFlight
-	models := make([]*Model, 0, len(r.models))
-	for _, m := range r.models {
-		if m.srv != nil {
-			models = append(models, m)
-		}
-	}
-	r.mu.RUnlock()
-	sort.Slice(models, func(i, j int) bool { return models[i].name < models[j].name })
+	v := r.view()
+	st := r.statsOf(v)
 
 	f.Family("sconna_registry_models", "gauge", "Registered, traffic-visible models.").
-		Add(float64(len(models)))
+		Add(float64(len(st.Models)))
 	f.Family("sconna_registry_max_in_flight", "gauge", "Registry-wide in-flight budget (0 = unlimited).").
-		Add(float64(budget))
+		Add(float64(v.budget))
 	draining := 0.0
-	if closed {
+	if st.Draining {
 		draining = 1
 	}
 	f.Family("sconna_registry_draining", "gauge", "1 once DrainAll has begun.").Add(draining)
 
-	for _, m := range models {
-		m.srv.collectInto(f, telemetry.L("model", m.name))
+	for i, m := range v.models {
+		m.srv.collectInto(f, st.Models[i].Stats, m.name)
 	}
 
 	brState := f.Family("sconna_breaker_state", "gauge",
@@ -161,10 +123,9 @@ func (r *Registry) collectInto(f *telemetry.Families) {
 	qInFlight := f.Family("sconna_quota_in_flight", "gauge", "Requests inside the model's admission quota.")
 	qLimit := f.Family("sconna_quota_limit", "gauge", "Admission-quota limit (0 = unlimited).")
 	qRej := f.Family("sconna_quota_rejected_total", "counter", "Requests shed by the admission quota.")
-	for _, m := range models {
-		lab := telemetry.L("model", m.name)
-		if m.breaker != nil {
-			bs := m.breaker.Stats()
+	for _, mi := range st.Models {
+		lab := telemetry.L("model", mi.Name)
+		if bs := mi.Breaker; bs != nil {
 			state := 0.0
 			switch bs.State {
 			case resilience.HalfOpen.String():
@@ -176,9 +137,9 @@ func (r *Registry) collectInto(f *telemetry.Families) {
 			brTrips.Add(float64(bs.Trips), lab)
 			brRej.Add(float64(bs.Rejected), lab)
 		}
-		qInFlight.Add(float64(m.quota.InFlight()), lab)
-		qLimit.Add(float64(m.quota.Limit()), lab)
-		qRej.Add(float64(m.quota.Rejected()), lab)
+		qInFlight.Add(float64(mi.InFlight), lab)
+		qLimit.Add(float64(mi.QuotaLimit), lab)
+		qRej.Add(float64(mi.QuotaRejected), lab)
 	}
 }
 
@@ -189,15 +150,7 @@ func (r *Registry) handleTraces(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	r.mu.RLock()
-	models := make([]*Model, 0, len(r.models))
-	for _, m := range r.models {
-		if m.srv != nil {
-			models = append(models, m)
-		}
-	}
-	r.mu.RUnlock()
-	sort.Slice(models, func(i, j int) bool { return models[i].name < models[j].name })
+	models := r.view().models
 	planes := make([]*telemetry.Plane, len(models))
 	for i, m := range models {
 		planes[i] = m.srv.Telemetry()

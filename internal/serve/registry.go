@@ -15,9 +15,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DefaultModelName is the model the legacy single-model endpoints
-// (POST /v1/classify, GET /stats) alias when the registry was built
-// without an explicit default: the first model registered.
+// DefaultModelName is the name a single served model registers under:
+// a one-entry registry serves it on /v1/models/default/classify and on
+// the /v1/classify alias.
 const DefaultModelName = "default"
 
 // ErrUnknownModel reports a routing miss: no model is registered under
@@ -39,9 +39,9 @@ type Model struct {
 	srv     *Server
 
 	// breaker is the model's circuit breaker (nil when Options.Breaker
-	// was nil — the byte-compatible legacy path takes zero extra code).
-	// quota bounds the model's in-flight requests to its weight share of
-	// the registry budget (limit 0 = unlimited); weight is the share.
+	// was nil). quota bounds the model's in-flight requests to its
+	// weight share of the registry budget (limit 0 = unlimited); weight
+	// is the share.
 	breaker *resilience.Breaker
 	quota   resilience.Quota
 	weight  int
@@ -72,7 +72,6 @@ func (m *Model) Breaker() *resilience.Breaker { return m.breaker }
 type Registry struct {
 	mu      sync.RWMutex
 	models  map[string]*Model
-	splits  map[string]*split
 	defName string // first registered, unless SetDefault moved it
 	closed  bool
 	// maxInFlight is the registry-wide in-flight budget split across
@@ -82,7 +81,7 @@ type Registry struct {
 
 // NewRegistry returns an empty registry; models arrive via Register.
 func NewRegistry() *Registry {
-	return &Registry{models: make(map[string]*Model), splits: make(map[string]*split)}
+	return &Registry{models: make(map[string]*Model)}
 }
 
 // validModelName bounds the routing namespace: path-safe, non-empty,
@@ -112,9 +111,9 @@ func validModelName(name string) error {
 	return nil
 }
 
-// Register builds a Server over qn (exactly as New would) and adds it
-// under name. The first model registered becomes the default — the one
-// the legacy /v1/classify alias routes to. The version is the content
+// Register builds a Server over qn and adds it under name. The first
+// model registered becomes the default — the one the legacy
+// /v1/classify alias routes to. The version is the content
 // digest of qn. Registering a name that is already present fails:
 // replacing a live model is an Unregister (drain) then a Register, so
 // in-flight traffic is never silently re-routed mid-request.
@@ -139,10 +138,6 @@ func (r *Registry) Register(name string, qn *quant.Network, factory quant.Engine
 		r.mu.Unlock()
 		return nil, fmt.Errorf("serve: model %q already registered", name)
 	}
-	if _, dup := r.splits[name]; dup {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("serve: name %q is a traffic-split alias", name)
-	}
 	placeholder := &Model{name: name, version: version, weight: opts.AdmissionWeight}
 	if placeholder.weight <= 0 {
 		placeholder.weight = 1
@@ -163,7 +158,7 @@ func (r *Registry) Register(name string, qn *quant.Network, factory quant.Engine
 		t.Name = name
 		opts.Telemetry = &t
 	}
-	srv, err := New(qn, factory, opts)
+	srv, err := newServer(qn, factory, opts)
 	if err != nil {
 		r.mu.Lock()
 		if r.models[name] == placeholder {
@@ -210,13 +205,6 @@ func (r *Registry) SetMaxInFlight(n int) {
 	}
 	r.maxInFlight = n
 	r.rebalanceLocked()
-}
-
-// MaxInFlight returns the registry-wide budget (0 = unlimited).
-func (r *Registry) MaxInFlight() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.maxInFlight
 }
 
 // rebalanceLocked recomputes every model's quota limit from the
@@ -289,7 +277,7 @@ func (r *Registry) Get(name string) (*Model, error) {
 	return m, nil
 }
 
-// Default returns the model the legacy single-model endpoints alias.
+// Default returns the model the /v1/classify alias routes to.
 func (r *Registry) Default() (*Model, error) {
 	r.mu.RLock()
 	name := r.defName
@@ -311,17 +299,36 @@ func (r *Registry) SetDefault(name string) error {
 	return nil
 }
 
-// Names returns the registered model names in sorted order.
-func (r *Registry) Names() []string {
+// registryView is one read of the registry under its lock: the
+// traffic-visible models (a model mid-Register is not yet one) sorted
+// by name, and the registry fields read alongside them.
+type registryView struct {
+	models  []*Model
+	defName string
+	closed  bool
+	budget  int
+}
+
+func (r *Registry) view() registryView {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.models))
-	for name, m := range r.models {
+	v := registryView{defName: r.defName, closed: r.closed, budget: r.maxInFlight}
+	for _, m := range r.models {
 		if m.srv != nil {
-			names = append(names, name)
+			v.models = append(v.models, m)
 		}
 	}
-	sort.Strings(names)
+	r.mu.RUnlock()
+	sort.Slice(v.models, func(i, j int) bool { return v.models[i].name < v.models[j].name })
+	return v
+}
+
+// Names returns the registered model names in sorted order.
+func (r *Registry) Names() []string {
+	models := r.view().models
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.name
+	}
 	return names
 }
 
@@ -359,31 +366,22 @@ type RegistryStats struct {
 	// unregistered).
 	DefaultModel string      `json:"default_model"`
 	Models       []ModelInfo `json:"models"`
-	// Splits lists the registry's A/B traffic-split aliases with their
-	// realized per-variant counts.
-	Splits   []SplitInfo `json:"splits,omitempty"`
-	Draining bool        `json:"draining"`
+	Draining     bool        `json:"draining"`
 	// Health mirrors GET /healthz: "ok", "degraded" (some breaker open
 	// or probing) or "draining".
 	Health string `json:"health"`
 }
 
 // Stats snapshots every registered model's traffic counters.
-func (r *Registry) Stats() RegistryStats {
-	r.mu.RLock()
-	defName := r.defName
-	closed := r.closed
-	models := make([]*Model, 0, len(r.models))
-	for _, m := range r.models {
-		if m.srv != nil {
-			models = append(models, m)
-		}
-	}
-	r.mu.RUnlock()
-	sort.Slice(models, func(i, j int) bool { return models[i].name < models[j].name })
-	out := RegistryStats{DefaultModel: defName, Draining: closed, Health: r.Health(), Models: make([]ModelInfo, len(models))}
+func (r *Registry) Stats() RegistryStats { return r.statsOf(r.view()) }
+
+// statsOf snapshots the models of one view; /stats and /metrics both
+// render from its result.
+func (r *Registry) statsOf(v registryView) RegistryStats {
+	defName := v.defName
+	out := RegistryStats{DefaultModel: defName, Draining: v.closed, Health: r.Health(), Models: make([]ModelInfo, len(v.models))}
 	seen := false
-	for i, m := range models {
+	for i, m := range v.models {
 		out.Models[i] = ModelInfo{
 			Name: m.name, Version: m.version, Digest: m.version,
 			Default: m.name == defName, Stats: m.srv.Stats(),
@@ -397,9 +395,6 @@ func (r *Registry) Stats() RegistryStats {
 	}
 	if !seen {
 		out.DefaultModel = ""
-	}
-	if sp := r.Splits(); len(sp) > 0 {
-		out.Splits = sp
 	}
 	return out
 }
@@ -436,16 +431,16 @@ func (r *Registry) Draining() bool {
 	return r.closed
 }
 
-// Handler returns the registry's HTTP surface:
+// Handler returns the serving plane's HTTP surface — the only one; a
+// single model is served as a one-entry registry:
 //
 //	POST /v1/models/{name}/classify — classify against the named model
 //	GET  /v1/models/{name}/stats    — that model's Stats snapshot
-//	GET  /v1/models                 — name/version/stats listing
-//	POST /v1/classify               — legacy alias for the default model
-//	                                  (byte-compatible with the
-//	                                  single-model server's responses)
+//	GET  /v1/models, GET /stats     — RegistryStats (name/version/stats
+//	                                  listing, health, draining)
+//	POST /v1/classify               — alias for the default model
+//	                                  (byte-identical to its routed path)
 //	GET  /healthz                   — liveness (503 once draining)
-//	GET  /stats                     — RegistryStats (per-model sections)
 //	GET  /metrics                   — Prometheus text exposition, every
 //	                                  model's counters labeled model=<name>
 //	                                  plus breaker/quota/registry families
@@ -453,56 +448,48 @@ func (r *Registry) Draining() bool {
 //	                                  into one Chrome trace document
 //
 // Unknown model names are 404s with a JSON error body; every other
-// status contract (400/429/503/499) is the single-model server's,
+// status contract (400/413/429/503/504/499) is the model server's,
 // because routing hands the request body untouched to that model's
 // handler.
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// Method checks live inside the handlers (not in mux patterns) so
-	// wrong-method errors keep the single-model server's JSON bodies —
-	// the legacy alias must stay byte-compatible even on error paths.
+	// wrong-method errors carry the same JSON bodies on every route.
 	mux.HandleFunc("/v1/models/{name}/classify", r.handleModelClassify)
 	mux.HandleFunc("/v1/models/{name}/stats", r.handleModelStats)
-	mux.HandleFunc("/v1/models", r.handleList)
+	mux.HandleFunc("/v1/models", r.handleStats)
 	mux.HandleFunc("/v1/classify", r.handleDefaultClassify)
 	mux.HandleFunc("/healthz", r.handleHealthz)
-	mux.HandleFunc("/stats", r.handleRegistryStats)
+	mux.HandleFunc("/stats", r.handleStats)
 	mux.Handle("/metrics", telemetry.MetricsHandler(r.collectInto))
 	mux.HandleFunc("/debug/traces", r.handleTraces)
 	return mux
 }
 
-// lookup resolves a routed model or writes the 404/503.
-func (r *Registry) lookup(w http.ResponseWriter, name string) (*Model, bool) {
-	if r.Draining() {
-		writeError(w, http.StatusServiceUnavailable, ErrRegistryClosed.Error())
-		return nil, false
-	}
-	m, err := r.Get(name)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return nil, false
-	}
-	return m, true
+func (r *Registry) handleModelClassify(w http.ResponseWriter, req *http.Request) {
+	m, err := r.Get(req.PathValue("name"))
+	r.classify(w, req, m, err)
 }
 
-func (r *Registry) handleModelClassify(w http.ResponseWriter, req *http.Request) {
-	name := req.PathValue("name")
+// handleDefaultClassify is the /v1/classify alias: requests route to
+// the default model untouched, so responses are byte-identical to its
+// /v1/models/{name}/classify route (pinned by the registry alias test).
+func (r *Registry) handleDefaultClassify(w http.ResponseWriter, req *http.Request) {
+	m, err := r.Default()
+	r.classify(w, req, m, err)
+}
+
+// classify answers a classify request for the resolved model m: 503
+// once the registry drains, 404 when resolution failed (err), and
+// otherwise the model's handler behind its gates.
+func (r *Registry) classify(w http.ResponseWriter, req *http.Request, m *Model, err error) {
 	if r.Draining() {
 		writeError(w, http.StatusServiceUnavailable, ErrRegistryClosed.Error())
 		return
 	}
-	m, err := r.Get(name)
 	if err != nil {
-		// Registered models win resolution; only a miss consults the
-		// traffic-split aliases, so a split can never shadow a model.
-		sm, chosen, ok := r.resolveSplit(name)
-		if !ok {
-			writeError(w, http.StatusNotFound, err.Error())
-			return
-		}
-		w.Header().Set(SplitModelHeader, chosen)
-		m = sm
+		writeError(w, http.StatusNotFound, err.Error())
+		return
 	}
 	r.serveModel(m, w, req)
 }
@@ -511,10 +498,8 @@ func (r *Registry) handleModelClassify(w http.ResponseWriter, req *http.Request)
 // gates: quota admission first (cheap, and every acquire pairs with a
 // guaranteed Release), then the circuit breaker. The ordering matters —
 // a breaker Allow must pair with exactly one Record, so a quota 429
-// issued after Allow would leak a half-open probe slot. With no breaker
-// and no quota limit this degenerates to the legacy direct call: the
-// response writer is never wrapped, so legacy responses stay
-// byte-identical.
+// issued after Allow would leak a half-open probe slot. Without a
+// breaker the response writer is never wrapped.
 func (r *Registry) serveModel(m *Model, w http.ResponseWriter, req *http.Request) {
 	if !m.quota.TryAcquire() {
 		w.Header().Set("Retry-After", strconv.Itoa(m.srv.retryAfterSeconds()))
@@ -547,9 +532,7 @@ func (r *Registry) serveModel(m *Model, w http.ResponseWriter, req *http.Request
 }
 
 // statusRecorder captures the status a handler wrote so the breaker can
-// classify the outcome. Only installed when a breaker is enabled:
-// wrapping the writer changes its dynamic type, which the byte-compat
-// legacy path must never observe.
+// classify the outcome. Only installed when a breaker is enabled.
 type statusRecorder struct {
 	http.ResponseWriter
 	code int
@@ -573,31 +556,6 @@ func (r *Registry) handleModelStats(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, m.srv.Stats())
-}
-
-func (r *Registry) handleList(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	writeJSON(w, http.StatusOK, r.Stats())
-}
-
-// handleDefaultClassify is the legacy single-model endpoint: requests
-// route to the default model's handler untouched, so responses are
-// byte-identical to a single-model Server fronting that network
-// (pinned by the registry alias test).
-func (r *Registry) handleDefaultClassify(w http.ResponseWriter, req *http.Request) {
-	if r.Draining() {
-		writeError(w, http.StatusServiceUnavailable, ErrRegistryClosed.Error())
-		return
-	}
-	m, err := r.Default()
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	r.serveModel(m, w, req)
 }
 
 // Health reports the registry's aggregate condition: "draining" once
@@ -630,7 +588,9 @@ func (r *Registry) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, code, map[string]string{"status": h})
 }
 
-func (r *Registry) handleRegistryStats(w http.ResponseWriter, req *http.Request) {
+// handleStats serves the RegistryStats document on /stats and
+// /v1/models.
+func (r *Registry) handleStats(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -214,38 +216,50 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 	}
 }
 
-// The legacy /v1/classify alias must answer byte-for-byte like a
-// standalone single-model Server over the same network — the PR 4
-// compatibility contract for existing clients.
+// The /v1/classify alias and the default model's routed path must both
+// answer byte-for-byte with the JSON encoding of the Submit results an
+// independent registry over the same network returns (logits kept only
+// when asked) — the compatibility contract for existing clients.
 func TestRegistryLegacyAliasByteCompatible(t *testing.T) {
 	factory := quant.SconnaEngineFactory(testCoreConfig())
 	opts := Options{InputShape: testShape, PoolSize: 2, MaxBatch: 4, QueueDepth: 64}
 	trace := testInputs(6, 107)
+	keep := func(i int) bool { return i%2 == 0 }
 
-	collect := func(url string) []string {
-		var bodies []string
-		for _, x := range trace {
-			code, body := postJSON(t, url, `{"input":`+marshalInput(t, x.Data)+`,"logits":true}`)
-			if code != http.StatusOK {
-				t.Fatalf("%s: %d %s", url, code, body)
-			}
-			bodies = append(bodies, body)
+	_, ref := servedModel(t, factory, opts)
+	var want []string
+	for i, x := range trace {
+		res, err := ref.Submit(context.Background(), x)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return bodies
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(trimLogits(res, keep(i))); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, buf.String())
 	}
 
-	_, direct := httpServer(t, factory, opts)
-	want := collect(direct.URL)
-
-	reg := newTestRegistry(t)
-	if _, err := reg.Register(DefaultModelName, testNet(t), factory, opts); err != nil {
-		t.Fatal(err)
-	}
-	hs := registryHTTP(t, reg)
-	got := collect(hs.URL)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("legacy alias drifted at request %d:\n%s\nvs\n%s", i, got[i], want[i])
+	for _, path := range []string{"/v1/classify", "/v1/models/" + DefaultModelName + "/classify"} {
+		reg, _ := servedModel(t, factory, opts)
+		hs := registryHTTP(t, reg)
+		for i, x := range trace {
+			body := `{"input":` + marshalInput(t, x.Data) + `}`
+			if keep(i) {
+				body = `{"input":` + marshalInput(t, x.Data) + `,"logits":true}`
+			}
+			resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s request %d: %d %v %s", path, i, resp.StatusCode, err, got)
+			}
+			if string(got) != want[i] {
+				t.Fatalf("%s drifted at request %d:\n%s\nvs Submit\n%s", path, i, got, want[i])
+			}
 		}
 	}
 }
@@ -524,5 +538,23 @@ func TestRegistryDrainAll(t *testing.T) {
 	}
 	if err := reg.DrainAll(ctx); err != nil {
 		t.Fatalf("second DrainAll: %v", err)
+	}
+}
+
+// TestModelInfoDigest: the models listing exports the artifact digest
+// explicitly and it equals the content-addressed version.
+func TestModelInfoDigest(t *testing.T) {
+	reg := twoModelRegistry(t)
+	st := reg.Stats()
+	if len(st.Models) != 2 {
+		t.Fatalf("%d models", len(st.Models))
+	}
+	for _, mi := range st.Models {
+		if mi.Digest == "" || mi.Digest != mi.Version {
+			t.Fatalf("model %s digest %q / version %q", mi.Name, mi.Digest, mi.Version)
+		}
+		if len(mi.Digest) != 64 {
+			t.Fatalf("model %s digest %q is not full hex", mi.Name, mi.Digest)
+		}
 	}
 }

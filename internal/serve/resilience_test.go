@@ -349,7 +349,7 @@ func TestCancellationPoolSizesBitIdentical(t *testing.T) {
 // deadline still wins and surfaces as the caller's own context error.
 func TestDefaultTimeoutDeadline(t *testing.T) {
 	g := newGatedEngine()
-	s := newTestServer(t, quant.SharedEngine(g), Options{
+	reg, s := servedModel(t, quant.SharedEngine(g), Options{
 		InputShape: testShape, PoolSize: 1, MaxBatch: 1, QueueDepth: 8,
 		DefaultTimeout: 30 * time.Millisecond,
 	})
@@ -373,7 +373,7 @@ func TestDefaultTimeoutDeadline(t *testing.T) {
 	}
 
 	// The HTTP layer maps the server-imposed deadline to 504.
-	hs, base, err := ListenLocal(s.Handler())
+	hs, base, err := ListenLocal(reg.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestDefaultTimeoutDeadline(t *testing.T) {
 // backlog over observed drain rate, clamped to [1, 30].
 func TestRetryAfterDerivedFromDrainRate(t *testing.T) {
 	g := newGatedEngine()
-	s := newTestServer(t, quant.SharedEngine(g), Options{
+	reg, s := servedModel(t, quant.SharedEngine(g), Options{
 		InputShape: testShape, PoolSize: 1, MaxBatch: 1, QueueDepth: 2,
 	})
 	// With no drain observed the estimate is the legacy 1s.
@@ -448,7 +448,7 @@ func TestRetryAfterDerivedFromDrainRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-g.started
-	hs, base, err := ListenLocal(s.Handler())
+	hs, base, err := ListenLocal(reg.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,10 +646,10 @@ func TestRegistryWeightedQuota(t *testing.T) {
 // retrying against an HTTP-chaos-wrapped server see only 200s, and the
 // client counts the retries it spent.
 func TestRetryClientRecoversBudgetedChaos(t *testing.T) {
-	s := newTestServer(t, quant.SharedEngine(quant.ExactEngine{}), exactOpts(func(o *Options) {
+	reg, _ := servedModel(t, quant.SharedEngine(quant.ExactEngine{}), exactOpts(func(o *Options) {
 		o.QueueDepth = 64
 	}))
-	h := resilience.Middleware(s.Handler(), resilience.HTTPChaosOptions{
+	h := resilience.Middleware(reg.Handler(), resilience.HTTPChaosOptions{
 		Seed: 5, ErrorRate: 0.3, FaultBudget: 16,
 	})
 	hs, base, err := ListenLocal(h)

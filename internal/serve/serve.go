@@ -17,24 +17,27 @@
 //     full queue rejects new work (ErrOverloaded — HTTP 429) instead of
 //     buffering unboundedly.
 //
-//   - An HTTP JSON API (POST /v1/classify, GET /healthz, GET /stats)
-//     fronts the batcher, with graceful drain on shutdown.
+//   - A Registry routes HTTP by model name. It is the only HTTP
+//     surface: each registered model gets a private Server (pool,
+//     batcher, stats), and single-model serving is a one-entry
+//     registry.
 //
-// A Server hosts exactly one quantized network. Multi-model serving —
-// the paper-faithful scenario of six CNNs time-sharing one accelerator —
-// is the Registry: named, versioned models (version = content digest of
-// the quantized network), one private Server per model, routed by name
-// (POST /v1/models/{name}/classify) with the legacy /v1/classify kept as
-// a byte-compatible alias for the default model, and hot
-// Register/Unregister with per-model graceful drain.
+// The Registry is the paper-faithful scenario of several CNNs
+// time-sharing one accelerator: named, versioned models (version =
+// content digest of the quantized network), routed by name (POST
+// /v1/models/{name}/classify) with /v1/classify kept as an alias for
+// the default model, per-model quotas and circuit breakers, and hot
+// Register/Unregister with per-model graceful drain. Its handler set
+// (/healthz, /stats, /metrics, /debug/traces) is the one sconnaserve,
+// the examples and the repository benchmark all serve.
 //
 // There is one serving mode. Every engine computes each dot product as a
 // pure function of its operands (a noisy ADC keys its error by them), so
 // a response's logits are a pure function of (network, input): the same
 // at any arrival seq, pool size, pool slot, batch composition or shard
 // count, and a recorded trace replays bit-identically (pinned by the
-// replay tests). New checks the network against the served input shape
-// up front, so a mis-chained artifact is refused at registration.
+// replay tests). Register checks the network against the served input
+// shape up front, so a mis-chained artifact is refused at registration.
 package serve
 
 import (
@@ -108,14 +111,12 @@ type Options struct {
 	DefaultTimeout time.Duration
 	// AdmissionWeight sizes this model's share of a registry-wide
 	// in-flight budget when models share a box (see
-	// Registry.SetMaxInFlight); <= 0 selects 1. Ignored outside a
-	// registry.
+	// Registry.SetMaxInFlight); <= 0 selects 1.
 	AdmissionWeight int
 	// Breaker enables a per-model circuit breaker on the registry's
 	// routed HTTP paths: server-side failures (5xx) feed a rolling
 	// window, tripping sheds load with 503 + Retry-After, and half-open
-	// probes decide recovery. nil disables (the byte-compatible legacy
-	// behavior). Ignored outside a registry.
+	// probes decide recovery. nil disables.
 	Breaker *resilience.BreakerOptions
 	// Telemetry enables the telemetry plane: every admitted request
 	// carries a span (trace ID derived from its arrival seq via
@@ -165,7 +166,8 @@ type outcome struct {
 	err error
 }
 
-// Server is the micro-batching inference service.
+// Server is the micro-batching inference service for one model;
+// Registry.Register builds one per registered model.
 type Server struct {
 	qn      *quant.Network
 	opts    Options
@@ -195,7 +197,6 @@ type Server struct {
 	accepted  atomic.Uint64
 	rejected  atomic.Uint64
 	draining  atomic.Uint64
-	served    atomic.Uint64
 	cancelled atomic.Uint64
 	expired   atomic.Uint64
 	nbatches  atomic.Uint64
@@ -211,10 +212,11 @@ type Server struct {
 	ratePrev   float64
 }
 
-// New builds and starts a Server over the quantized network, with a pool
-// of engines built once through factory (engine i = factory(i)). It
-// fails when the network does not fit the served input shape.
-func New(qn *quant.Network, factory quant.EngineFactory, opts Options) (*Server, error) {
+// newServer builds and starts a Server over the quantized network, with
+// a pool of engines built once through factory (engine i = factory(i)).
+// It fails when the network does not fit the served input shape.
+// Registry.Register is its caller.
+func newServer(qn *quant.Network, factory quant.EngineFactory, opts Options) (*Server, error) {
 	if qn == nil {
 		return nil, errors.New("serve: nil network")
 	}
@@ -568,7 +570,6 @@ func (s *Server) runBatch(batch []*request) {
 		r.sp.Mark(telemetry.StageRespond)
 		r.sp.Finish("ok")
 	}
-	s.served.Add(uint64(len(exec)))
 	s.noteServed(len(exec))
 	s.nbatches.Add(1)
 	s.batchMu.Lock()
@@ -669,7 +670,7 @@ func (s *Server) Stats() Stats {
 		Accepted:       s.accepted.Load(),
 		Rejected:       s.rejected.Load(),
 		Draining:       s.draining.Load(),
-		Served:         s.served.Load(),
+		Served:         snap.Count,
 		Cancelled:      s.cancelled.Load(),
 		Expired:        s.expired.Load(),
 		Batches:        s.nbatches.Load(),
@@ -683,5 +684,6 @@ func (s *Server) Stats() Stats {
 		LatencyP99:     snap.Quantile(0.99),
 		LatencyP999:    snap.Quantile(0.999),
 		LatencyBuckets: latencyBuckets(snap),
+		lat:            snap,
 	}
 }

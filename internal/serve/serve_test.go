@@ -75,17 +75,28 @@ func exactOpts(mut func(*Options)) Options {
 	return o
 }
 
-func newTestServer(t *testing.T, factory quant.EngineFactory, opts Options) *Server {
+// servedModel serves the smoke network the way sconnaserve serves one
+// model: as the only entry (DefaultModelName) of a registry, drained at
+// cleanup. It returns the registry, whose Handler is the HTTP surface,
+// and the model's server.
+func servedModel(t testing.TB, factory quant.EngineFactory, opts Options) (*Registry, *Server) {
 	t.Helper()
-	s, err := New(testNet(t), factory, opts)
+	reg := NewRegistry()
+	m, err := reg.Register(DefaultModelName, testNet(t), factory, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		_ = s.Drain(ctx)
+		_ = reg.DrainAll(ctx)
 	})
+	return reg, m.Server()
+}
+
+func newTestServer(t *testing.T, factory quant.EngineFactory, opts Options) *Server {
+	t.Helper()
+	_, s := servedModel(t, factory, opts)
 	return s
 }
 
@@ -417,10 +428,10 @@ func TestConcurrentSubmitRace(t *testing.T) {
 	}
 }
 
-// A network that does not fit the served input shape must fail New and
-// Register with an error — never load and then panic in a worker. Each
-// case quantizes a mis-chained float network (no calibration pass, so
-// quantization itself never runs it).
+// A network that does not fit the served input shape must fail
+// newServer and Register with an error — never load and then panic in
+// a worker. Each case quantizes a mis-chained float network (no
+// calibration pass, so quantization itself never runs it).
 func TestNewRejectsMisChainedNetwork(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	conv := func(inC, outC, k, pad int) nn.Layer { return nn.NewConv2D("c", inC, outC, k, 1, pad, false, rng) }
@@ -441,8 +452,8 @@ func TestNewRejectsMisChainedNetwork(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		factory := quant.SharedEngine(quant.ExactEngine{})
-		if _, err := New(qn, factory, Options{InputShape: testShape}); err == nil || !strings.Contains(err.Error(), tc.errHas) {
-			t.Errorf("%s: New err = %v, want mention of %q", tc.name, err, tc.errHas)
+		if _, err := newServer(qn, factory, Options{InputShape: testShape}); err == nil || !strings.Contains(err.Error(), tc.errHas) {
+			t.Errorf("%s: newServer err = %v, want mention of %q", tc.name, err, tc.errHas)
 		}
 		reg := NewRegistry()
 		if _, err := reg.Register("m", qn, factory, Options{InputShape: testShape}); err == nil {

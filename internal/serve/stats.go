@@ -8,11 +8,13 @@ import (
 )
 
 // Stats is a snapshot of the server's traffic counters, exposed by
-// (*Server).Stats and the GET /stats endpoint.
+// (*Server).Stats, GET /v1/models/{name}/stats and each model's section
+// of the registry's GET /stats.
 type Stats struct {
 	// Accepted counts requests admitted to the queue; Rejected counts
 	// backpressure rejections (queue full) and Draining counts requests
-	// refused after Drain began. Served counts delivered results,
+	// refused after Drain began. Served counts delivered results (the
+	// latency histogram's count: each is observed there exactly once),
 	// Cancelled requests whose (caller-owned) context ended before
 	// their batch ran, and Expired requests dropped pre-dispatch by the
 	// server-imposed per-model deadline (Options.DefaultTimeout).
@@ -46,6 +48,10 @@ type Stats struct {
 	// Ops is the op/energy accounting summary, present only when the
 	// server was built with Options.OpAccounting.
 	Ops *OpStats `json:"ops,omitempty"`
+
+	// lat is the latency snapshot Served and the quantiles were read
+	// from; /metrics renders the latency histogram from it.
+	lat telemetry.HistSnapshot
 }
 
 // OpStats summarizes the server's op/energy accounting plane: arithmetic

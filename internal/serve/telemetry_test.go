@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,11 +36,12 @@ func scrapeMetrics(t *testing.T, base string) string {
 	return doc
 }
 
-// The golden /metrics pin: deterministic serial traffic must export a
-// valid exposition document whose family order and deterministic sample
+// The golden /metrics pin on the surface sconnaserve serves, a
+// one-entry registry: deterministic serial traffic must export a valid
+// exposition document whose family order and deterministic sample
 // lines match exactly — scrapers and dashboards key on both.
 func TestMetricsGolden(t *testing.T) {
-	s := newTestServer(t, quant.SharedEngine(quant.ExactEngine{}), Options{
+	reg, s := servedModel(t, quant.SharedEngine(quant.ExactEngine{}), Options{
 		InputShape: testShape, PoolSize: 1, MaxBatch: 1, QueueDepth: 8,
 		Telemetry: &telemetry.Options{},
 	})
@@ -48,9 +50,11 @@ func TestMetricsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	doc := scrapeMetrics(t, httptestURL(t, s))
+	doc := scrapeMetrics(t, registryHTTP(t, reg).URL)
 
-	// Family order is part of the format contract.
+	// Family order is part of the format contract: registry gauges, the
+	// model-labelled serve families, then the quota families (breaker
+	// families have no samples without Options.Breaker).
 	var families []string
 	for _, line := range strings.Split(doc, "\n") {
 		if strings.HasPrefix(line, "# TYPE ") {
@@ -58,6 +62,9 @@ func TestMetricsGolden(t *testing.T) {
 		}
 	}
 	wantFamilies := []string{
+		"sconna_registry_models",
+		"sconna_registry_max_in_flight",
+		"sconna_registry_draining",
 		"sconna_serve_requests_total",
 		"sconna_serve_batches_total",
 		"sconna_serve_batch_size_total",
@@ -68,31 +75,110 @@ func TestMetricsGolden(t *testing.T) {
 		"sconna_serve_latency_seconds",
 		"sconna_serve_stage_latency_seconds",
 		"sconna_serve_traces_total",
+		"sconna_quota_in_flight",
+		"sconna_quota_limit",
+		"sconna_quota_rejected_total",
 	}
 	if fmt.Sprint(families) != fmt.Sprint(wantFamilies) {
 		t.Fatalf("family order drifted:\n got %v\nwant %v", families, wantFamilies)
 	}
 
-	// Deterministic sample lines must match byte-for-byte (latency
-	// values vary run to run; counts do not).
-	for _, want := range []string{
-		`sconna_serve_requests_total{outcome="accepted"} 5`,
-		`sconna_serve_requests_total{outcome="served"} 5`,
-		`sconna_serve_requests_total{outcome="rejected"} 0`,
-		`sconna_serve_batches_total 5`,
-		`sconna_serve_batch_size_total{size="1"} 5`,
-		`sconna_serve_queue_depth 0`,
-		`sconna_serve_queue_capacity 8`,
-		`sconna_serve_engines_busy 0`,
-		`sconna_serve_pool_size 1`,
-		`sconna_serve_latency_seconds_count 5`,
-		`sconna_serve_stage_latency_seconds_count{stage="queue"} 5`,
-		`sconna_serve_stage_latency_seconds_count{stage="forward"} 5`,
-		`sconna_serve_traces_total 5`,
-	} {
-		if !strings.Contains(doc, want+"\n") {
-			t.Errorf("metrics missing line %q in:\n%s", want, doc)
+	// Every deterministic sample line must match byte-for-byte (latency
+	// buckets and sums vary run to run; counts do not).
+	want := []string{
+		`sconna_registry_models 1`,
+		`sconna_registry_max_in_flight 0`,
+		`sconna_registry_draining 0`,
+	}
+	for _, oc := range []string{"accepted 5", "rejected 0", "draining 0", "served 5", "cancelled 0", "expired 0"} {
+		name, n, _ := strings.Cut(oc, " ")
+		want = append(want, `sconna_serve_requests_total{model="default",outcome="`+name+`"} `+n)
+	}
+	want = append(want,
+		`sconna_serve_batches_total{model="default"} 5`,
+		`sconna_serve_batch_size_total{model="default",size="1"} 5`,
+		`sconna_serve_queue_depth{model="default"} 0`,
+		`sconna_serve_queue_capacity{model="default"} 8`,
+		`sconna_serve_engines_busy{model="default"} 0`,
+		`sconna_serve_pool_size{model="default"} 1`,
+		`sconna_serve_latency_seconds_count{model="default"} 5`,
+	)
+	for _, stage := range telemetry.StageNames() {
+		n := "5"
+		if stage == "decode" {
+			n = "0" // Go-level Submit has no HTTP decode window
 		}
+		want = append(want, `sconna_serve_stage_latency_seconds_count{model="default",stage="`+stage+`"} `+n)
+	}
+	want = append(want,
+		`sconna_serve_traces_total{model="default"} 5`,
+		`sconna_quota_in_flight{model="default"} 0`,
+		`sconna_quota_limit{model="default"} 0`,
+		`sconna_quota_rejected_total{model="default"} 0`,
+	)
+	var got []string
+	for _, line := range strings.Split(doc, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") ||
+			strings.Contains(line, "_bucket{") || strings.Contains(line, "_sum{") {
+			continue
+		}
+		got = append(got, line)
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("deterministic samples drifted:\n got:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// One source for the served count: under concurrent classify traffic,
+// every /metrics scrape's served counter equals its latency histogram's
+// _count, because both are read from one latency snapshot.
+func TestMetricsServedMatchesLatencyCount(t *testing.T) {
+	reg, s := servedModel(t, quant.SharedEngine(quant.ExactEngine{}), Options{
+		InputShape: testShape, PoolSize: 2, MaxBatch: 4, QueueDepth: 64,
+	})
+	base := registryHTTP(t, reg).URL
+	xs := testInputs(4, 43)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_, _ = s.Submit(context.Background(), xs[(c+i)%len(xs)])
+			}
+		}(c)
+	}
+	sample := func(doc, prefix string) string {
+		for _, line := range strings.Split(doc, "\n") {
+			if v, ok := strings.CutPrefix(line, prefix+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("no %s sample in:\n%s", prefix, doc)
+		return ""
+	}
+	var last string
+	for i := 0; i < 50; i++ {
+		doc := scrapeMetrics(t, base)
+		served := sample(doc, `sconna_serve_requests_total{model="default",outcome="served"}`)
+		count := sample(doc, `sconna_serve_latency_seconds_count{model="default"}`)
+		if served != count {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("scrape %d: served %s but latency _count %s", i, served, count)
+		}
+		last = served
+	}
+	close(stop)
+	wg.Wait()
+	if last == "0" {
+		t.Fatal("no traffic was served while scraping")
 	}
 }
 
@@ -124,17 +210,6 @@ func TestRegistryMetricsTwoModels(t *testing.T) {
 			t.Errorf("metrics missing line %q in:\n%s", want, doc)
 		}
 	}
-}
-
-// httptestURL serves an already-built server's handler for scraping.
-func httptestURL(t *testing.T, s *Server) string {
-	t.Helper()
-	hs, base, err := ListenLocal(s.Handler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { hs.Close() })
-	return base
 }
 
 // Trace determinism: the same recorded trace replayed at pool sizes 1,

@@ -2,7 +2,6 @@ package sconna
 
 import (
 	"io"
-	"net/http"
 
 	"repro/internal/accel"
 	"repro/internal/accuracy"
@@ -15,10 +14,7 @@ import (
 	"repro/internal/pca"
 	"repro/internal/photonics"
 	"repro/internal/quant"
-	"repro/internal/resilience"
 	"repro/internal/scalability"
-	"repro/internal/serve"
-	"repro/internal/telemetry"
 )
 
 // Version identifies this reproduction release.
@@ -209,42 +205,18 @@ func RunTableV(opts AccuracyOptions) ([]AccuracyRow, error) {
 	return accuracy.Run(accuracy.DefaultSpecs(), opts)
 }
 
-// Quantized compute plane and serving plane.
+// Quantized compute plane.
 type (
 	// QuantNetwork is an integer-quantized network executable on any
 	// DotEngine.
 	QuantNetwork = quant.Network
 	// DotEngine is the pluggable integer dot-product substrate.
 	DotEngine = quant.DotEngine
-	// EngineFactory builds one engine per shard/pool slot/request seq.
+	// EngineFactory builds one engine per shard or pool slot.
 	EngineFactory = quant.EngineFactory
 	// ExactDotEngine is the exact-integer reference engine.
 	ExactDotEngine = quant.ExactEngine
-	// InferenceServer is the long-lived micro-batching serving plane
-	// for one model; a ModelRegistry runs one per registered model.
-	InferenceServer = serve.Server
-	// ServeOptions configures an InferenceServer.
-	ServeOptions = serve.Options
-	// ServeResult is one classify outcome.
-	ServeResult = serve.Result
-	// ServeStats snapshots serving traffic counters.
-	ServeStats = serve.Stats
-	// ModelRegistry is the multi-model serving plane: named, versioned
-	// quantized models, each behind a private engine pool and
-	// micro-batcher, routed by name over one HTTP surface.
-	ModelRegistry = serve.Registry
-	// RegisteredModel is one registry entry (name, content-addressed
-	// version, private server).
-	RegisteredModel = serve.Model
-	// ModelInfo is one GET /v1/models listing entry.
-	ModelInfo = serve.ModelInfo
-	// RegistryStats is the registry-wide stats document.
-	RegistryStats = serve.RegistryStats
 )
-
-// DefaultModelName is the registry name the legacy single-model
-// endpoints alias by convention.
-const DefaultModelName = serve.DefaultModelName
 
 // QuantizeNetwork post-training-quantizes a trained float network to the
 // given operand precision, calibrating activation scales over the
@@ -264,25 +236,6 @@ func SconnaDotEngineFactory(cfg CoreConfig) EngineFactory {
 // slot the same instance.
 func SharedDotEngine(e DotEngine) EngineFactory { return quant.SharedEngine(e) }
 
-// NewInferenceServer starts the micro-batching serving plane over a
-// single quantized network: a bounded request queue, an engine pool
-// checked out per micro-batch, and an HTTP JSON API (Handler) with
-// graceful Drain. It is the thin single-model form of the serving
-// plane; multi-model deployments register each network in a
-// ModelRegistry instead, which runs one of these servers per model.
-func NewInferenceServer(qn *QuantNetwork, factory EngineFactory, opts ServeOptions) (*InferenceServer, error) {
-	return serve.New(qn, factory, opts)
-}
-
-// NewModelRegistry returns an empty model registry. Register each named
-// quantized model (its content digest becomes the version ID), then
-// serve Handler(): POST /v1/models/{name}/classify routes by name,
-// POST /v1/classify stays a byte-compatible alias for the default
-// (first-registered) model, GET /v1/models lists name/version/stats.
-// Register and Unregister are safe under live traffic; DrainAll stops
-// everything gracefully.
-func NewModelRegistry() *ModelRegistry { return serve.NewRegistry() }
-
 // LoadQuantNetwork reconstructs a quantized model artifact written by
 // (*QuantNetwork).Save — the self-describing format sconnaserve's
 // -model flags load, carrying the full quantized architecture so no
@@ -293,108 +246,12 @@ func LoadQuantNetwork(r io.Reader) (*QuantNetwork, error) { return quant.Load(r)
 // by (*QuantNetwork).SaveFile.
 func LoadQuantNetworkFile(path string) (*QuantNetwork, error) { return quant.LoadFile(path) }
 
-// Resilience plane (fault injection, retry, circuit breaking).
-type (
-	// HTTPChaosOptions seeds deterministic HTTP-level fault injection
-	// (flagged 500s and stalls) for Middleware.
-	HTTPChaosOptions = resilience.HTTPChaosOptions
-	// BreakerOptions configures a per-model circuit breaker.
-	BreakerOptions = resilience.BreakerOptions
-	// BreakerStats snapshots one breaker's state for /stats.
-	BreakerStats = resilience.BreakerStats
-	// RetryOptions configures the retrying HTTP client (exponential
-	// backoff, deterministic jitter, Retry-After honored verbatim).
-	RetryOptions = resilience.RetryOptions
-	// RetryClient is the retrying HTTP client that rides out 429s and
-	// chaos-injected 5xx.
-	RetryClient = resilience.RetryClient
-)
-
-// ChaosMiddleware wraps an HTTP handler with seeded request-level fault
-// injection (flagged 500s and stalls); at zero rates it returns the
-// handler untouched.
-func ChaosMiddleware(h http.Handler, opts HTTPChaosOptions) http.Handler {
-	return resilience.Middleware(h, opts)
-}
-
-// Telemetry plane (per-request tracing, Prometheus /metrics, pprof).
-type (
-	// TelemetryOptions arms a server's telemetry plane when set on
-	// ServeOptions.Telemetry; nil keeps the zero-cost Nop path.
-	TelemetryOptions = telemetry.Options
-	// TelemetryPlane is one server's armed trace/histogram state,
-	// reachable via (*InferenceServer).Telemetry.
-	TelemetryPlane = telemetry.Plane
-	// MetricFamilies accumulates Prometheus text-exposition families;
-	// Collector implementations append to it.
-	MetricFamilies = telemetry.Families
-	// MetricCollector contributes families to a /metrics scrape.
-	MetricCollector = telemetry.Collector
-)
-
-// TraceIDHeader is the HTTP request header carrying a client-stamped
-// trace ID, echoed into the server-side span.
-const TraceIDHeader = telemetry.TraceIDHeader
-
-// TraceID derives the replay-stable trace ID for an arrival sequence
-// number — the same function servers use, so a client that stamps it
-// joins its records to the server's.
-func TraceID(seq uint64) string { return telemetry.TraceID(seq) }
-
-// WithPprof mounts net/http/pprof under /debug/pprof/ in front of next;
-// everything else passes through. Serving handlers never expose pprof
-// unless wrapped (sconnaserve gates it behind -pprof).
-func WithPprof(next http.Handler) http.Handler { return telemetry.WithPprof(next) }
-
-// ValidateExposition checks a Prometheus text document for
-// well-formedness (HELP/TYPE pairing, label syntax, histogram
-// invariants) — the same validator the /metrics tests run.
-func ValidateExposition(doc string) error { return telemetry.ValidateExposition(doc) }
-
-type (
-	// ArtifactStore is the fleet plane's artifact source: digest-keyed
-	// Get/List of quantized model artifacts, every Get validated by
-	// content hash.
-	ArtifactStore = fleet.Store
-	// DiskArtifactStore is the on-disk store behind -store-dir: atomic
-	// digest-named writes, idempotent puts.
-	DiskArtifactStore = fleet.DiskStore
-	// HTTPArtifactStore pulls artifacts from a served store (typically a
-	// router) and re-validates every artifact by digest.
-	HTTPArtifactStore = fleet.HTTPStore
-	// FleetRouter consistent-hashes model names onto a replica ring and
-	// proxies classify traffic with failover, per-replica breakers and
-	// deadline propagation.
-	FleetRouter = fleet.Router
-	// FleetRouterOptions configures a FleetRouter.
-	FleetRouterOptions = fleet.RouterOptions
-	// FleetRing is the bounded-load rendezvous hash ring underneath the
-	// router: placement is a pure function of the member set.
-	FleetRing = fleet.Ring
-	// Shard names one machine's slice ("i/n") of a distributed sweep.
-	Shard = fleet.Shard
-)
-
-// OpenArtifactStore opens (creating if needed) the on-disk artifact
-// store rooted at dir.
-func OpenArtifactStore(dir string) (*DiskArtifactStore, error) { return fleet.OpenDiskStore(dir) }
-
-// ArtifactStoreHandler serves a store over HTTP: GET /v1/artifacts
-// lists digests, GET /v1/artifacts/{digest} streams one artifact.
-func ArtifactStoreHandler(s ArtifactStore) http.Handler { return fleet.StoreHandler(s) }
-
-// NewFleetRouter builds a router over the replica ring.
-func NewFleetRouter(opts FleetRouterOptions) *FleetRouter { return fleet.NewRouter(opts) }
+// Shard names one machine's slice ("i/n") of a distributed sweep.
+type Shard = fleet.Shard
 
 // ParseShard parses a "-shard i/n" spec; the empty string is the
 // disabled zero value (full span).
 func ParseShard(s string) (Shard, error) { return fleet.ParseShard(s) }
-
-// MergeCacheDirs unions shard runs' cache store roots into dst: entries
-// are content-addressed, so N disjoint shard stores merge into exactly
-// the store one machine would have produced. Returns how many entries
-// were copied.
-func MergeCacheDirs(dst string, srcs ...string) (int, error) { return cache.MergeDirs(dst, srcs...) }
 
 // DefaultAccuracyOptions returns the full Table V study configuration.
 func DefaultAccuracyOptions() AccuracyOptions { return accuracy.DefaultOptions() }

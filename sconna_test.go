@@ -2,15 +2,10 @@ package sconna
 
 import (
 	"bytes"
-	"context"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 func TestVersionSet(t *testing.T) {
@@ -139,31 +134,6 @@ func TestFacadeModelRegistry(t *testing.T) {
 	if loaded.Digest() != qn.Digest() {
 		t.Fatal("facade artifact round trip moved the digest")
 	}
-
-	reg := NewModelRegistry()
-	defer reg.DrainAll(context.Background())
-	shape := []int{1, 16, 16}
-	m, err := reg.Register(DefaultModelName, loaded, SharedDotEngine(ExactDotEngine{}), ServeOptions{InputShape: shape})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Version() != qn.Digest().String() {
-		t.Fatal("registry version is not the quantized network digest")
-	}
-	x := tensor.New(shape...)
-	for i := range x.Data {
-		x.Data[i] = float32(i%7) / 7
-	}
-	res, err := m.Server().Submit(context.Background(), x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := qn.Forward(x, ExactDotEngine{}).ArgMax(); res.Class != want {
-		t.Fatalf("registry classified %d, want %d", res.Class, want)
-	}
-	if def, err := reg.Default(); err != nil || def.Name() != DefaultModelName {
-		t.Fatalf("default = %v, %v", def, err)
-	}
 }
 
 func TestFacadeRunners(t *testing.T) {
@@ -192,55 +162,5 @@ func TestFacadeRunners(t *testing.T) {
 	}
 	if cells := srun.TableI(); len(cells) != 16 {
 		t.Fatalf("runner TableI cells=%d", len(cells))
-	}
-}
-
-func TestFacadeResilience(t *testing.T) {
-	// HTTP chaos + retrying client: every budgeted injected 500 is
-	// flagged and recovered within the retry budget.
-	var served int
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		served++
-		w.WriteHeader(http.StatusOK)
-	})
-	hs := httptest.NewServer(ChaosMiddleware(inner, HTTPChaosOptions{Seed: 9, ErrorRate: 1, FaultBudget: 2}))
-	defer hs.Close()
-	client := RetryClient{HTTP: hs.Client(), Opts: RetryOptions{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}}
-	resp, err := client.Post(hs.URL, "application/json", []byte("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || served == 0 {
-		t.Fatalf("retry client got %d (handler served %d)", resp.StatusCode, served)
-	}
-	if client.Retries() == 0 {
-		t.Fatal("retry client recovered a full-rate fault budget without retrying")
-	}
-
-	// Breaker config and stats travel through the facade types.
-	src := nn.BuildSmallCNN(2, 4, 9)
-	qn, err := QuantizeNetwork(src, 6, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewModelRegistry()
-	defer reg.DrainAll(context.Background())
-	if _, err := reg.Register(DefaultModelName, qn, SharedDotEngine(ExactDotEngine{}), ServeOptions{
-		InputShape: []int{1, 16, 16},
-		Breaker:    &BreakerOptions{Window: 8},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	st := reg.Stats()
-	if len(st.Models) != 1 || st.Models[0].Breaker == nil {
-		t.Fatalf("breaker stats missing from registry stats: %+v", st.Models)
-	}
-	var bs BreakerStats = *st.Models[0].Breaker
-	if bs.State != "closed" {
-		t.Fatalf("fresh breaker state = %q, want closed", bs.State)
-	}
-	if st.Health != "ok" {
-		t.Fatalf("health = %q, want ok", st.Health)
 	}
 }
