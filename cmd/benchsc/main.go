@@ -65,6 +65,7 @@ func main() {
 		{"scalar_dot", scbench.ScalarDot},
 		{"packed_dot", scbench.PackedDot},
 		{"packed_dot_batch", scbench.PackedDotBatch},
+		{"packed_tile", scbench.PackedTile},
 		{"scalar_dot_maxb", scbench.ScalarDotMaxB},
 		{"packed_dot_maxb", scbench.PackedDotMaxB},
 		{"kernel_counts_packed", scbench.KernelCountsPacked},

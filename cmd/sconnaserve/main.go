@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	sconnaserve [-addr :8080] [-engine sconna|sconna-packed|exact]
+//	sconnaserve [-addr :8080] [-engine sconna|exact]
 //	            [-op-stats] [-pool N] [-max-batch N] [-max-wait D] [-queue N]
 //	            [-request-timeout D] [-max-inflight N] [-breaker]
 //	            [-model name=artifact.qnn ...]
@@ -288,7 +288,7 @@ func runRouter(addr string, replicas []string, requestTimeout, refresh time.Dura
 
 // engineNames is the documented -engine list, in usage order; every
 // name has a buildFactory case.
-var engineNames = []string{"sconna", "sconna-packed", "exact"}
+var engineNames = []string{"sconna", "exact"}
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -550,16 +550,8 @@ func buildFactory(name string, bits, vdpeSize int, adcSeed int64) (quant.EngineF
 	case "exact":
 		return quant.SharedEngine(quant.ExactEngine{}), nil
 	case "sconna":
-		ccfg := core.DefaultConfig()
-		ccfg.Bits = bits
-		ccfg.N = vdpeSize
-		ccfg.M = 1
-		ccfg.ADCSeed = adcSeed
-		return quant.SconnaEngineFactory(ccfg), nil
-	case "sconna-packed":
-		// Same functional configuration and shard-seed derivation as
-		// "sconna", computed on the word-packed kernel plane: responses
-		// are bit-identical, dot products run on fused AND+popcount.
+		// The packed SC kernel engine: bit-identical to the scalar
+		// reference quant.SconnaEngine on every operand.
 		ccfg := core.DefaultConfig()
 		ccfg.Bits = bits
 		ccfg.N = vdpeSize

@@ -226,19 +226,29 @@
 //     full network forwards under -race).
 //
 //   - Serving integration: sckernel.Engine implements quant.DotEngine
-//     and the layer-tile quant.TileDotter boundary: DotTile packs each
-//     weight vector of a tile once, digests each operand row once
-//     (core.VecKey), compacts each row's nonzero lanes once per psum
-//     chunk and runs every weight vector over that list — bit-identical
-//     to the per-(row, DKV) Dot loop in any order, ADC error included.
-//     sckernel.EngineFactory drops into serve pools (sconnaserve
-//     -engine sconna-packed) configured like the scalar factory, so
-//     replay stays bit-identical at any pool size.
+//     and the layer-tile quant.TileDotter boundary. DotTile range-checks
+//     and digests (core.VecKey) each weight vector and each operand row
+//     of a tile once, then runs one register-tiled kernel on the
+//     analytic tier: operand rows packed lane-major, three per uint64 in
+//     21-bit fields (two 32-bit fields, or one, when 2B+1 > 21 or
+//     N*2^B >= 2^21), so one multiply per (lane, weight) gives three
+//     rows' products, a shift and a mask keep each lane's floor, and the
+//     weight's sign mask steers it into the negative count. Each weight
+//     pair passes once over a row group, and the counts come out of
+//     their fields straight into the keyed ADC conversion —
+//     bit-identical to the per-(row, DKV) Dot loop in any order, ADC
+//     error included. It is the one SC engine in production:
+//     sconnaserve -engine sconna, Table V, the examples and the facade's
+//     SconnaDotEngineFactory all build it, configured like the scalar
+//     factory, so replay stays bit-identical at any pool size.
 //
 //   - Fuzz tier: internal/bitstream carries native Go fuzz targets
 //     (round-trip parsing, AndPopCount vs a naive oracle, tail-mask
-//     invariants) with checked-in seed corpora; CI runs a short fuzz
-//     smoke on every change.
+//     invariants) with checked-in seed corpora, and
+//     internal/sckernel's FuzzDotTile checks DotTile against the Dot
+//     loop on decoded precisions, VDPE sizes, shapes and operands
+//     (full-scale and out-of-range lanes among its seeds); CI runs a
+//     short fuzz smoke of each on every change.
 //
 // cmd/benchsc emits the SC-kernel trajectory (BENCH_sc.json) and gates
 // CI on the packed-vs-scalar dot speedup — ≥10x at the stream-scaling

@@ -14,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/quant"
+	"repro/internal/sckernel"
 )
 
 func main() {
@@ -34,7 +35,7 @@ func main() {
 	ccfg := sconna.DefaultCoreConfig()
 	ccfg.N = 64 // chunking granularity of the functional engine
 	ccfg.M = 1
-	engine, err := quant.NewSconnaEngine(ccfg)
+	engine, err := sckernel.New(ccfg)
 	if err != nil {
 		log.Fatal(err)
 	}

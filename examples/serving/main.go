@@ -31,6 +31,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/quant"
 	"repro/internal/resilience"
+	"repro/internal/sckernel"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
@@ -85,7 +86,7 @@ func main() {
 		ccfg.Bits = bits
 		ccfg.N = 64
 		ccfg.M = 1
-		return quant.SconnaEngineFactory(ccfg)
+		return sckernel.EngineFactory(ccfg)
 	}
 	factory := factoryAt(8)
 	opts := serve.Options{

@@ -22,6 +22,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/quant"
+	"repro/internal/sckernel"
 )
 
 // Spec describes one proxy model of the study.
@@ -235,7 +236,7 @@ func (p *Prepared) Evaluate(opts Options) (Row, error) {
 	if err != nil {
 		return Row{}, fmt.Errorf("accuracy: %s: exact evaluation: %w", p.Spec.Name, err)
 	}
-	s1, s5, err := p.QN.EvaluateParallel(p.Test, 5, quant.SconnaEngineFactory(p.CoreConfig(opts)), opts.Workers)
+	s1, s5, err := p.QN.EvaluateParallel(p.Test, 5, sckernel.EngineFactory(p.CoreConfig(opts)), opts.Workers)
 	if err != nil {
 		return Row{}, fmt.Errorf("accuracy: %s: SCONNA evaluation: %w", p.Spec.Name, err)
 	}

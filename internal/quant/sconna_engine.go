@@ -10,7 +10,9 @@ import (
 // streams, optical AND gates, sign-steered PCA accumulation and (unless
 // disabled) the 1.3%-MAPE ADC conversion. Vectors longer than the VDPE
 // size decompose into chunks whose partial sums reduce digitally, exactly
-// as Section II-B describes.
+// as Section II-B describes. It is the scalar, lane-by-lane reference:
+// production paths run sckernel.Engine, which the equivalence tests pin
+// to it bit for bit.
 type SconnaEngine struct {
 	vdpc *core.VDPC
 	cfg  core.Config

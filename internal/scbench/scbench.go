@@ -125,6 +125,63 @@ func PackedDotBatch(b *testing.B) {
 	}
 }
 
+// tileShapes are the served model's three conv layer tiles (rows x DKVs
+// x S lanes, one example): the width-4 small CNN's 16x16, 8x8 and 4x4
+// output maps against 4, 8 and 16 output channels over full 3x3
+// windows of 1, 4 and 8 input channels.
+var tileShapes = [...]struct{ rows, dkvs, s int }{
+	{256, 4, 9},
+	{64, 8, 36},
+	{16, 16, 72},
+}
+
+// tileConfig returns the serving benchmark's SC engine configuration:
+// the paper precision on 64-lane VDPEs, one per VDPC, ADC seed 2023.
+func tileConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Bits = smokeBits
+	cfg.N = 64
+	cfg.M = 1
+	cfg.ADCSeed = 2023
+	return cfg
+}
+
+// PackedTile times Engine.DotTile over the served model's three conv
+// tiles (tileShapes) with a noisy ADC: ns/op is one example's conv
+// layers, the kernel and the keyed conversion without the rest of the
+// forward pass. Row lanes are zero with probability 0.4, as a ReLU
+// leaves them.
+func PackedTile(b *testing.B) {
+	e, err := sckernel.New(tileConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	scale := 1 << smokeBits
+	type tile struct{ rows, dkvs, out []int }
+	tiles := make([]tile, len(tileShapes))
+	for t, sh := range tileShapes {
+		rows := make([]int, sh.rows*sh.s)
+		for i := range rows {
+			if rng.Float64() >= 0.4 {
+				rows[i] = rng.Intn(scale + 1)
+			}
+		}
+		dkvs := make([]int, sh.dkvs*sh.s)
+		for i := range dkvs {
+			dkvs[i] = rng.Intn(2*scale+1) - scale
+		}
+		tiles[t] = tile{rows, dkvs, make([]int, sh.rows*sh.dkvs)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for t, sh := range tileShapes {
+			e.DotTile(tiles[t].rows, tiles[t].dkvs, sh.s, tiles[t].out)
+		}
+	}
+}
+
 // KernelCountsPacked times the raw packed count kernel (no ADC, no
 // chunking): the prefix-popcount fast path over one VDPE-sized vector.
 func KernelCountsPacked(b *testing.B) {

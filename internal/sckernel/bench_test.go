@@ -12,6 +12,7 @@ import (
 func BenchmarkSCScalarDot(b *testing.B)          { scbench.ScalarDot(b) }
 func BenchmarkSCPackedDot(b *testing.B)          { scbench.PackedDot(b) }
 func BenchmarkSCPackedDotBatch(b *testing.B)     { scbench.PackedDotBatch(b) }
+func BenchmarkSCPackedTile(b *testing.B)         { scbench.PackedTile(b) }
 func BenchmarkSCScalarDotMaxB(b *testing.B)      { scbench.ScalarDotMaxB(b) }
 func BenchmarkSCPackedDotMaxB(b *testing.B)      { scbench.PackedDotMaxB(b) }
 func BenchmarkSCKernelCountsPacked(b *testing.B) { scbench.KernelCountsPacked(b) }

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bitstream"
+	"repro/internal/core"
 	"repro/internal/quant"
 )
 
@@ -27,41 +27,103 @@ func tileOperands(rng *rand.Rand, bits, nr, nd, s int, zeroRows ...int) (rows, d
 	return rows, dkvs
 }
 
+// fullScaleOperands draws nr rows and nd DKVs of s lanes at precision
+// bits with every lane at full scale: rows 2^B, DKVs ±2^B, so every
+// lane's count and every packed field reach their caps.
+func fullScaleOperands(rng *rand.Rand, bits, nr, nd, s int) (rows, dkvs []int) {
+	scale := 1 << uint(bits)
+	rows = make([]int, nr*s)
+	for i := range rows {
+		rows[i] = scale
+	}
+	dkvs = make([]int, nd*s)
+	for i := range dkvs {
+		dkvs[i] = scale * (2*rng.Intn(2) - 1)
+	}
+	return rows, dkvs
+}
+
+// tileShape is one (rows, DKVs, lanes) shape of the tile sweep.
+type tileShape struct{ nr, nd, s int }
+
+// tileShapes spans S below, at and across psum chunk seams of VDPE size
+// n (a dense-layer-wide row among them), row counts of every residue
+// mod 3 (the kernel's packed row groups) and odd and even DKV counts
+// (its DKV pairs).
+func tileShapes(n int) []tileShape {
+	return []tileShape{
+		{9, 5, 3*n + 7},
+		{4, 4, n},
+		{7, 1, 2*n + 1},
+		{3, 13, 1},
+		{2, 6, 40*n + 3},
+		{5, 2, n - 1},
+	}
+}
+
 // TestDotRowsMatchesSequentialDot: every row of a DotTile must equal
 // sequential Dot calls per (row, DKV) bit for bit, on the noisy and the
-// ideal-ADC packed engine, over consecutive calls on one engine and
-// shapes off every tile multiple: S not a multiple of N, row and DKV
-// counts that are not multiples of four, all-zero rows, and a
-// dense-layer-wide row spanning many psum chunks.
+// ideal-ADC packed engine at every precision B in 1..12, over
+// consecutive calls on one engine, on the shapes of tileShapes with
+// all-zero rows and with full-scale operands. Beyond the paper grid, a
+// config whose N*2^B reaches 2^21 must take the two-field layout (a
+// full-scale chunk would overflow a 21-bit field) and one whose N*2^B
+// reaches 2^32 the one-field layout.
 func TestDotRowsMatchesSequentialDot(t *testing.T) {
+	type point struct {
+		cfg    core.Config
+		fields int
+		shapes []tileShape
+	}
+	var points []point
+	for bits := 1; bits <= 12; bits++ {
+		fields := 3
+		if 2*bits+1 > 21 {
+			fields = 2
+		}
+		for _, ideal := range []bool{false, true} {
+			cfg := testCfg(bits, ideal)
+			points = append(points, point{cfg, fields, tileShapes(cfg.N)})
+		}
+	}
 	for _, ideal := range []bool{false, true} {
-		cfg := testCfg(8, ideal)
+		wide := testCfg(10, ideal)
+		wide.N, wide.ChannelSpacingNM = 2048, 0.02 // 2500 channels: N*2^B = 2^21
+		points = append(points, point{wide, 2, []tileShape{{4, 3, wide.N}, {2, 2, 2*wide.N + 5}}})
+		huge := testCfg(12, ideal)
+		huge.N, huge.ChannelSpacingNM = 1<<20, 40.0/(1<<20) // N*2^B = 2^32
+		points = append(points, point{huge, 1, []tileShape{{4, 3, 37}, {3, 2, 1}}})
+	}
+	for _, pt := range points {
+		cfg := pt.cfg
 		tiled, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tiled.fields != pt.fields {
+			t.Fatalf("B=%d N=%d: %d rows per word, want %d", cfg.Bits, cfg.N, tiled.fields, pt.fields)
 		}
 		serial, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var _ quant.TileDotter = tiled
-		rng := rand.New(rand.NewSource(5))
-		for _, sh := range []struct{ nr, nd, s int }{
-			{9, 5, 3*cfg.N + 7},
-			{4, 4, cfg.N},
-			{7, 1, 2*cfg.N + 1},
-			{3, 13, 1},
-			{2, 6, 40*cfg.N + 3},
-		} {
-			rows, dkvs := tileOperands(rng, cfg.Bits, sh.nr, sh.nd, sh.s, 0, sh.nr-1)
-			out := make([]int, sh.nr*sh.nd)
-			tiled.DotTile(rows, dkvs, sh.s, out)
-			for j := 0; j < sh.nd; j++ {
-				for i := 0; i < sh.nr; i++ {
-					want := serial.Dot(rows[i*sh.s:(i+1)*sh.s], dkvs[j*sh.s:(j+1)*sh.s])
-					if got := out[j*sh.nr+i]; got != want {
-						t.Fatalf("ideal=%v %dx%dx%d: row %d DKV %d: DotTile %d != Dot %d",
-							ideal, sh.nr, sh.nd, sh.s, i, j, got, want)
+		rng := rand.New(rand.NewSource(int64(5 + cfg.Bits)))
+		for _, sh := range pt.shapes {
+			for _, full := range []bool{false, true} {
+				rows, dkvs := tileOperands(rng, cfg.Bits, sh.nr, sh.nd, sh.s, 0, sh.nr-1)
+				if full {
+					rows, dkvs = fullScaleOperands(rng, cfg.Bits, sh.nr, sh.nd, sh.s)
+				}
+				out := make([]int, sh.nr*sh.nd)
+				tiled.DotTile(rows, dkvs, sh.s, out)
+				for j := 0; j < sh.nd; j++ {
+					for i := 0; i < sh.nr; i++ {
+						want := serial.Dot(rows[i*sh.s:(i+1)*sh.s], dkvs[j*sh.s:(j+1)*sh.s])
+						if got := out[j*sh.nr+i]; got != want {
+							t.Fatalf("B=%d N=%d ideal=%v full=%v %dx%dx%d: row %d DKV %d: DotTile %d != Dot %d",
+								cfg.Bits, cfg.N, cfg.IdealADC, full, sh.nr, sh.nd, sh.s, i, j, got, want)
+						}
 					}
 				}
 			}
@@ -147,50 +209,6 @@ func TestDotRowsOperandContract(t *testing.T) {
 				}
 			}
 		}()
-	}
-}
-
-// TestCountsAtMatchesDotPacked: the compacted count kernel over a DIV's
-// nonzero lanes equals DotPacked over the full DIV on every Plane kernel
-// (analytic, prefix-popcount and generic word walk): a zero DIV lane
-// adds nothing to either count.
-func TestCountsAtMatchesDotPacked(t *testing.T) {
-	const bits = 6
-	pfx := NewPlane(bits, bitstream.Unary{}, bitstream.Bresenham{})
-	pfx.analytic = false
-	planes := map[string]*Plane{
-		"analytic": PlaneFor(bits),
-		"prefix":   pfx,
-		"generic":  NewPlane(bits, bitstream.VanDerCorput{}, bitstream.Bresenham{}),
-	}
-	rng := rand.New(rand.NewSource(8))
-	for name, p := range planes {
-		for trial := 0; trial < 50; trial++ {
-			n := 1 + rng.Intn(40)
-			rows, dkv := tileOperands(rng, bits, 1, 1, n)
-			for i := range rows {
-				if rng.Intn(2) == 0 {
-					rows[i] = 0
-				}
-			}
-			var w PackedDKV
-			if err := p.PackDKV(&w, dkv); err != nil {
-				t.Fatal(err)
-			}
-			wantPos, wantNeg, err := p.DotPacked(rows, &w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var vals, idx []int
-			for k, v := range rows {
-				if v != 0 {
-					vals, idx = append(vals, v), append(idx, k)
-				}
-			}
-			if pos, neg := p.countsAt(vals, idx, &w); pos != wantPos || neg != wantNeg {
-				t.Fatalf("%s trial %d: countsAt (%d, %d) != DotPacked (%d, %d)", name, trial, pos, neg, wantPos, wantNeg)
-			}
-		}
 	}
 }
 

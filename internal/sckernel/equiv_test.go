@@ -79,10 +79,9 @@ func operandCases(scale, length int, seed int64) []operandCase {
 // at every precision B in 2..8, asserting all packed kernel tiers — the
 // analytic multiply-shift path the default plane takes, the
 // prefix-popcount path (exercised on a private plane with the analytic
-// tier disabled), the generic fused word walk, and the pre-packed
-// variants of each — reproduce the scalar LUT multiply
-// (sc.OSMLUT.MulInts) count for count: the per-lane bitwise pin
-// underneath everything else in this tier.
+// tier disabled) and the generic fused word walk — reproduce the scalar
+// LUT multiply (sc.OSMLUT.MulInts) count for count: the per-lane bitwise
+// pin underneath everything else in this tier.
 func TestKernelCountsExhaustive(t *testing.T) {
 	for bits := 2; bits <= 8; bits++ {
 		if testing.Short() && bits > 6 {
@@ -94,11 +93,10 @@ func TestKernelCountsExhaustive(t *testing.T) {
 			t.Fatalf("B=%d: default Bresenham plane failed rate-exactness verification", bits)
 		}
 		// A private plane with the analytic tier masked off routes
-		// DotCounts/DotPacked through the prefix-popcount kernel.
+		// DotCounts through the prefix-popcount kernel.
 		pfx := NewPlane(bits, bitstream.Unary{}, bitstream.Bresenham{})
 		pfx.analytic = false
 		l := p.L
-		var packed, pfxPacked PackedDKV
 		for ib := 0; ib <= l; ib++ {
 			for wb := 0; wb <= l; wb++ {
 				want := lut.MulInts(ib, wb)
@@ -121,27 +119,11 @@ func TestKernelCountsExhaustive(t *testing.T) {
 					if err != nil {
 						t.Fatalf("B=%d DotCountsGeneric(%d,%d): %v", bits, ib, sign*wb, err)
 					}
-					if err := p.PackDKV(&packed, dkv); err != nil {
-						t.Fatalf("B=%d PackDKV(%d): %v", bits, sign*wb, err)
-					}
-					ppos, pneg, err := p.DotPacked(div, &packed)
-					if err != nil {
-						t.Fatalf("B=%d DotPacked(%d,%d): %v", bits, ib, sign*wb, err)
-					}
-					if err := pfx.PackDKV(&pfxPacked, dkv); err != nil {
-						t.Fatalf("B=%d prefix PackDKV(%d): %v", bits, sign*wb, err)
-					}
-					qpos, qneg, err := pfx.DotPacked(div, &pfxPacked)
-					if err != nil {
-						t.Fatalf("B=%d prefix DotPacked(%d,%d): %v", bits, ib, sign*wb, err)
-					}
 					if pos != wantPos || neg != wantNeg ||
 						fpos != wantPos || fneg != wantNeg ||
-						gpos != wantPos || gneg != wantNeg ||
-						ppos != wantPos || pneg != wantNeg ||
-						qpos != wantPos || qneg != wantNeg {
-						t.Fatalf("B=%d ib=%d wb=%d: kernel tiers (%d,%d)/(%d,%d)/(%d,%d)/(%d,%d)/(%d,%d) != scalar (%d,%d)",
-							bits, ib, sign*wb, pos, neg, fpos, fneg, gpos, gneg, ppos, pneg, qpos, qneg, wantPos, wantNeg)
+						gpos != wantPos || gneg != wantNeg {
+						t.Fatalf("B=%d ib=%d wb=%d: kernel tiers (%d,%d)/(%d,%d)/(%d,%d) != scalar (%d,%d)",
+							bits, ib, sign*wb, pos, neg, fpos, fneg, gpos, gneg, wantPos, wantNeg)
 					}
 				}
 			}
@@ -161,7 +143,6 @@ func TestDotCountsMatchVDPE(t *testing.T) {
 		}
 		p := PlaneFor(bits)
 		scale := 1 << uint(bits)
-		var packed PackedDKV
 		for _, length := range []int{1, cfg.N - 1, cfg.N} {
 			for _, oc := range operandCases(scale, length, int64(100*bits)) {
 				ref, err := vdpe.Dot(oc.div, oc.dkv)
@@ -176,19 +157,12 @@ func TestDotCountsMatchVDPE(t *testing.T) {
 				if err != nil {
 					t.Fatalf("B=%d %s: DotCountsGeneric: %v", bits, oc.name, err)
 				}
-				if err := p.PackDKV(&packed, oc.dkv); err != nil {
-					t.Fatalf("B=%d %s: PackDKV: %v", bits, oc.name, err)
-				}
-				ppos, pneg, err := p.DotPacked(oc.div, &packed)
-				if err != nil {
-					t.Fatalf("B=%d %s: DotPacked: %v", bits, oc.name, err)
-				}
 				if pos != ref.PosOnes || neg != ref.NegOnes {
 					t.Fatalf("B=%d %s len=%d: DotCounts (%d,%d) != VDPE (%d,%d)",
 						bits, oc.name, length, pos, neg, ref.PosOnes, ref.NegOnes)
 				}
-				if gpos != ref.PosOnes || gneg != ref.NegOnes || ppos != ref.PosOnes || pneg != ref.NegOnes {
-					t.Fatalf("B=%d %s len=%d: generic/packed kernels disagree with VDPE",
+				if gpos != ref.PosOnes || gneg != ref.NegOnes {
+					t.Fatalf("B=%d %s len=%d: generic kernel disagrees with VDPE",
 						bits, oc.name, length)
 				}
 				if exact := (pos - neg) * scale; exact != ref.Exact {

@@ -8,7 +8,17 @@
 // (bits, generator) pair — the Plane, built once and shared by every
 // engine — and computes the same signed dot products through fused
 // AND+popcount kernels that touch 64 stream bits per instruction, with
-// sign steering driven by sign masks instead of a per-lane branch.
+// sign steering driven by sign masks instead of a per-lane branch. For
+// the default pairing (unary inputs, Bresenham weights) the Plane proves
+// at build time that a lane's count is exactly ib*wb >> B, the analytic
+// tier every Engine runs on.
+//
+// Engine is the one SC engine in production (serving, Table V, the
+// examples). Its layer-tile kernel, DotTile, packs three operand rows
+// per uint64 in 21-bit fields (two 32-bit fields, or one, when the
+// precision or the VDPE size needs wider ones), so one multiply by a
+// weight yields three rows' lane products — the software analogue of
+// SCONNA packing many OSM products onto one VDPE by DWDM.
 //
 // The contract is bitwise pinning, the same pattern as ForwardNaive vs
 // the GEMM lowering: every kernel here must produce exactly the counts
@@ -260,140 +270,4 @@ func (p *Plane) DotCountsGeneric(div, dkv []int) (pos, neg int, err error) {
 		}
 	}
 	return pos, neg, nil
-}
-
-// PackedDKV is a weight operand vector in packed form: unsigned stream
-// magnitudes plus a per-lane sign mask (-1 when lane i is negative, 0
-// otherwise) that steers each lane's count into the matching
-// accumulator with two mask ops. Packing validates the magnitudes once,
-// so kernels applying the same weight vector to many DIVs — the conv
-// inner loop the serving plane lowers onto — skip the per-lane sign
-// extraction and weight range check on every reuse.
-type PackedDKV struct {
-	mags []int
-	negm []int
-	n    int
-}
-
-// Len returns the packed vector's lane count.
-func (w *PackedDKV) Len() int { return w.n }
-
-// PackDKV packs dkv into dst, reusing its buffers. Magnitudes must be
-// within [0, 2^Bits].
-func (p *Plane) PackDKV(dst *PackedDKV, dkv []int) error {
-	n := len(dkv)
-	dst.n = n
-	if cap(dst.mags) < n {
-		dst.mags = make([]int, n)
-		dst.negm = make([]int, n)
-	}
-	dst.mags = dst.mags[:n]
-	dst.negm = dst.negm[:n]
-	for i, wb := range dkv {
-		s := wb >> signShift
-		wb = (wb ^ s) - s
-		if uint(wb) > uint(p.L) {
-			return fmt.Errorf("sckernel: weight magnitude out of range at lane %d (w=%d)", i, dkv[i])
-		}
-		dst.mags[i] = wb
-		dst.negm[i] = s
-	}
-	return nil
-}
-
-// DotPacked is DotCounts against a pre-packed weight vector: sign
-// steering reads the per-lane masks (branch-free accumulator select) and
-// only the DIV side is range-checked per call.
-func (p *Plane) DotPacked(div []int, w *PackedDKV) (pos, neg int, err error) {
-	if len(div) != w.n {
-		return 0, 0, fmt.Errorf("sckernel: DIV/DKV length mismatch %d vs %d", len(div), w.n)
-	}
-	l := p.L
-	mags, negm := w.mags[:len(div)], w.negm[:len(div)]
-	if !p.unaryInput {
-		ws := p.W
-		for i, ib := range div {
-			if uint(ib) > uint(l) {
-				return 0, 0, fmt.Errorf("sckernel: input out of range at lane %d (i=%d)", i, ib)
-			}
-			wb := mags[i]
-			iw := p.iw[ib*ws : ib*ws+ws]
-			wwRow := p.ww[wb*ws : wb*ws+ws : wb*ws+ws]
-			c := 0
-			for j, word := range iw {
-				c += bits.OnesCount64(word & wwRow[j])
-			}
-			neg += c & negm[i]
-			pos += c &^ negm[i]
-		}
-		return pos, neg, nil
-	}
-	if p.analytic {
-		shift := uint(p.Bits)
-		for i, ib := range div {
-			if uint(ib) > uint(l) {
-				return 0, 0, fmt.Errorf("sckernel: input out of range at lane %d (i=%d)", i, ib)
-			}
-			c := ib * mags[i] >> shift
-			neg += c & negm[i]
-			pos += c &^ negm[i]
-		}
-		return pos, neg, nil
-	}
-	w1 := p.W + 1
-	wwp, wpfx := p.wwp, p.wpfx
-	for i, ib := range div {
-		if uint(ib) > uint(l) {
-			return 0, 0, fmt.Errorf("sckernel: input out of range at lane %d (i=%d)", i, ib)
-		}
-		base := mags[i]*w1 + ib>>6
-		c := int(wpfx[base]) + bits.OnesCount64(wwp[base]&(1<<(uint(ib)&63)-1))
-		neg += c & negm[i]
-		pos += c &^ negm[i]
-	}
-	return pos, neg, nil
-}
-
-// countsAt is DotPacked over a compacted DIV: vals[t] is the DIV value
-// at lane idx[t] of the packed weight vector, already range-checked, and
-// every lane not listed holds zero, which adds nothing to either count
-// in any kernel. The result equals DotPacked on the full DIV.
-func (p *Plane) countsAt(vals, idx []int, w *PackedDKV) (pos, neg int) {
-	idx = idx[:len(vals)]
-	mags, negm := w.mags[:w.n], w.negm[:w.n]
-	switch {
-	case !p.unaryInput:
-		ws := p.W
-		for t, ib := range vals {
-			k := idx[t]
-			wb := mags[k]
-			iw := p.iw[ib*ws : ib*ws+ws]
-			wwRow := p.ww[wb*ws : wb*ws+ws : wb*ws+ws]
-			c := 0
-			for j, word := range iw {
-				c += bits.OnesCount64(word & wwRow[j])
-			}
-			neg += c & negm[k]
-			pos += c &^ negm[k]
-		}
-	case p.analytic:
-		shift := uint(p.Bits)
-		for t, ib := range vals {
-			k := idx[t]
-			c := ib * mags[k] >> shift
-			neg += c & negm[k]
-			pos += c &^ negm[k]
-		}
-	default:
-		w1 := p.W + 1
-		wwp, wpfx := p.wwp, p.wpfx
-		for t, ib := range vals {
-			k := idx[t]
-			base := mags[k]*w1 + ib>>6
-			c := int(wpfx[base]) + bits.OnesCount64(wwp[base]&(1<<(uint(ib)&63)-1))
-			neg += c & negm[k]
-			pos += c &^ negm[k]
-		}
-	}
-	return pos, neg
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/photonics"
 	"repro/internal/quant"
 	"repro/internal/scalability"
+	"repro/internal/sckernel"
 )
 
 // Version identifies this reproduction release.
@@ -227,9 +228,10 @@ func QuantizeNetwork(src *nn.Network, bits int, calibration []nn.Example) (*Quan
 
 // SconnaDotEngineFactory returns an EngineFactory building one SCONNA
 // functional engine per slot, every one configured as cfg — the engine
-// the serving plane pools.
+// the serving plane pools: the packed SC kernel engine, bit-identical to
+// the scalar reference.
 func SconnaDotEngineFactory(cfg CoreConfig) EngineFactory {
-	return quant.SconnaEngineFactory(cfg)
+	return sckernel.EngineFactory(cfg)
 }
 
 // SharedDotEngine adapts a stateless engine into a factory handing every
