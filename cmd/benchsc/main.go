@@ -12,10 +12,11 @@
 // With -check the command exits nonzero when the packed engine's dot is
 // slower than min-speedup times the scalar reference on the
 // stream-scaling shape, or slower than min-speedup-paper times scalar on
-// the paper shape — the CI regression gates for the word-packed compute
-// plane. The stream-scaling gate is the primary one: packed kernels are
-// O(1) words per lane where the scalar stream walk is O(2^B/64), and the
-// 12-bit shape is where that structural advantage must hold.
+// the paper shape — the CI regression gates for the SC compute plane.
+// The stream-scaling gate is the primary one: the packed engine's
+// closed-form count is O(1) per lane where the scalar stream walk is
+// O(2^B/64), and the 12-bit shape is where that structural advantage
+// must hold.
 package main
 
 import (
@@ -68,11 +69,9 @@ func main() {
 		{"packed_tile", scbench.PackedTile},
 		{"scalar_dot_maxb", scbench.ScalarDotMaxB},
 		{"packed_dot_maxb", scbench.PackedDotMaxB},
-		{"kernel_counts_packed", scbench.KernelCountsPacked},
-		{"kernel_counts_generic", scbench.KernelCountsGeneric},
 	}
 
-	rep := report{Schema: "repro/bench_sc@v1", GoMaxProcs: runtime.GOMAXPROCS(0)}
+	rep := report{Schema: "repro/bench_sc@v2", GoMaxProcs: runtime.GOMAXPROCS(0)}
 	perOp := map[string]float64{}
 	for _, bench := range benches {
 		r := testing.Benchmark(bench.fn)

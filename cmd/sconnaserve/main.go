@@ -372,6 +372,13 @@ func main() {
 	if *quantizeOnly && *saveQuant == "" {
 		fatal(fmt.Errorf("-quantize-only needs -save-quant FILE"))
 	}
+	if len(models) == 0 && len(pulls) == 0 {
+		// Reject bad model-building flags before any training.
+		if err := checkBuildFlags(*width, *trainN, *epochs, *weights != ""); err != nil {
+			fmt.Fprintln(os.Stderr, "sconnaserve:", err)
+			os.Exit(2)
+		}
+	}
 
 	opts := serve.Options{
 		MaxBatch:       *maxBatch,
@@ -503,6 +510,22 @@ func main() {
 			m.Name, m.Stats.Served, m.Stats.Batches, m.Stats.Rejected, m.Stats.LatencyP50, m.Stats.LatencyP99)
 	}
 	fmt.Fprintln(os.Stderr, "sconnaserve: drained clean")
+}
+
+// checkBuildFlags rejects the in-process build's flags that would panic
+// in nn.BuildSmallCNN (-width), calibrate the quantizer on no examples
+// (-train) or train nothing (-epochs, unless -weights supplies the
+// weights).
+func checkBuildFlags(width, trainN, epochs int, loadWeights bool) error {
+	switch {
+	case width < 1:
+		return fmt.Errorf("-width %d: want at least 1", width)
+	case trainN < 1:
+		return fmt.Errorf("-train %d: want at least 1 (it is also the calibration set)", trainN)
+	case epochs < 1 && !loadWeights:
+		return fmt.Errorf("-epochs %d: want at least 1 when no -weights file is given", epochs)
+	}
+	return nil
 }
 
 // buildFloatModel trains (or loads) the served CNN and returns it with

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -37,6 +38,48 @@ func TestUnknownEngineExits2(t *testing.T) {
 		if strings.Contains(string(out), "trained") {
 			t.Fatalf("-engine %s trained a model before rejecting the name:\n%s", name, out)
 		}
+	}
+}
+
+// A model-building flag that would panic in nn.BuildSmallCNN, calibrate
+// on no examples or train nothing must fail before any training: exit 2
+// with a message naming the flag. -epochs 0 is fine when -weights
+// supplies the weights; that child then fails later, on the missing
+// file, with exit 1.
+func TestBadBuildFlagsExit2(t *testing.T) {
+	if args := os.Getenv("SCONNASERVE_BUILD_ARGS"); args != "" {
+		os.Args = append([]string{"sconnaserve", "-addr", "127.0.0.1:0"}, strings.Fields(args)...)
+		flag.CommandLine = flag.NewFlagSet("sconnaserve", flag.ExitOnError)
+		main()
+		return
+	}
+	missing := filepath.Join(t.TempDir(), "missing.weights")
+	for _, tc := range []struct {
+		name, flag, args string
+		code             int
+	}{
+		{"width-0", "width", "-width 0", 2},
+		{"width-negative", "width", "-width -1", 2},
+		{"train-0", "train", "-train 0", 2},
+		{"epochs-0", "epochs", "-epochs 0", 2},
+		{"epochs-negative", "epochs", "-epochs -1", 2},
+		{"epochs-0-with-weights", "epochs", "-epochs 0 -weights " + missing, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestBadBuildFlagsExit2$")
+			cmd.Env = append(os.Environ(), "SCONNASERVE_BUILD_ARGS="+tc.args)
+			out, err := cmd.CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != tc.code {
+				t.Fatalf("err %v, want exit status %d; output:\n%s", err, tc.code, out)
+			}
+			if named := strings.Contains(string(out), "-"+tc.flag+" "); named != (tc.code == 2) {
+				t.Fatalf("message names -%s: %v, want %v; output:\n%s", tc.flag, named, tc.code == 2, out)
+			}
+			if strings.Contains(string(out), "trained") {
+				t.Fatalf("trained a model before rejecting the flags:\n%s", out)
+			}
+		})
 	}
 }
 

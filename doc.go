@@ -198,38 +198,36 @@
 //
 // # SC kernel plane
 //
-// internal/sckernel is the word-packed form of the stochastic-computing
+// internal/sckernel is the serving-speed form of the stochastic-computing
 // functional plane: the same VDPE/VDPC semantics as internal/core, but
-// computed over []uint64 words instead of per-lane bitstream walks.
+// each lane's count computed in closed form instead of by a bitstream
+// walk.
 //
-//   - Packed LUT image: one Plane per (stream bits, generator pair)
-//     packs every OSM LUT stream into word matrices once and shares it
-//     (PlaneFor caches planes for the default generators). Weight
-//     streams additionally carry a prefix-popcount table, so an
-//     AND+popcount against a unary input stream reduces to one table
-//     read plus one masked popcount — and for the default
-//     Bresenham-coded weights the plane proves at build time that
-//     prefix counts equal ib*wb>>B exactly, collapsing the whole
-//     per-lane kernel to a multiply and a shift (the analytic tier; a
-//     generator-generic fused AND+popcount word walk remains as the
-//     fallback, 64 stream bits per instruction).
+//   - One analytic count: a unary input stream of ib ones ANDed with a
+//     Bresenham weight stream of wb ones (the OSM LUT's pairing) carries
+//     exactly ib*wb >> B ones, so every kernel counts a lane with one
+//     multiply and one shift. The property is proved, not assumed:
+//     sckernel.New walks every generated weight stream once per
+//     precision, bit by bit, checking that its first p bits carry
+//     floor(p*wb/2^B) ones, memoizes the verdict and refuses to build an
+//     engine where it fails. No stream image outlives the proof.
 //
 //   - Equivalence contract: core.VDPE.Dot / sc.OSMLUT.MulInts stay the
 //     bitwise-pinned scalar reference, the same pattern as
 //     ForwardNaive/GEMM. The packed engine reproduces the scalar
 //     chunked psum reduction exactly — same chunk seams as
 //     core.VDPC.DotLarge, the same keyed core.ADC conversion — so Dot
-//     results are bit-identical, not
-//     just statistically close (pinned by an exhaustive operand sweep
-//     over every (input, weight, sign) at each precision, by
-//     chunk-seam-length cases, and by cross-engine property tests on
-//     full network forwards under -race).
+//     results are bit-identical, not just statistically close (pinned
+//     by an exhaustive operand sweep over every (input, weight, sign)
+//     at B 1..8, by engine-vs-scalar traces across chunk seams at every
+//     precision New accepts, and by cross-engine property tests on full
+//     network forwards under -race).
 //
 //   - Serving integration: sckernel.Engine implements quant.DotEngine
 //     and the layer-tile quant.TileDotter boundary. DotTile range-checks
 //     and digests (core.VecKey) each weight vector and each operand row
 //     of a tile once, then runs one register-tiled kernel on the
-//     analytic tier: operand rows packed lane-major, three per uint64 in
+//     analytic count: operand rows packed lane-major, three per uint64 in
 //     21-bit fields (two 32-bit fields, or one, when 2B+1 > 21 or
 //     N*2^B >= 2^21), so one multiply per (lane, weight) gives three
 //     rows' products, a shift and a mask keep each lane's floor, and the
@@ -250,10 +248,11 @@
 //     (full-scale and out-of-range lanes among its seeds); CI runs a
 //     short fuzz smoke of each on every change.
 //
-// cmd/benchsc emits the SC-kernel trajectory (BENCH_sc.json) and gates
-// CI on the packed-vs-scalar dot speedup — ≥10x at the stream-scaling
-// shape (12-bit streams, where packed O(1) words per lane meets the
-// scalar O(2^B/64) stream walk) and ≥3x at the 8-bit paper point.
+// cmd/benchsc emits the SC-kernel trajectory (BENCH_sc.json, schema
+// repro/bench_sc@v2) and gates CI on the packed-vs-scalar dot speedup —
+// ≥10x at the stream-scaling shape (12-bit streams, where the O(1)
+// closed-form count per lane meets the scalar O(2^B/64) stream walk)
+// and ≥3x at the 8-bit paper point.
 //
 // # Serving plane
 //
@@ -459,7 +458,9 @@
 //     print no tables. Entries are content-addressed, so the directory
 //     union of N disjoint shard stores (cache.MergeDirs, or a plain
 //     copy) answers the unsharded run with 100% cache hits and stdout
-//     byte-identical to a single-machine run.
+//     byte-identical to a single-machine run. The -shard parser,
+//     fleet.ParseShard, is fuzzed in CI (FuzzParseShard): it never
+//     panics, accepts only 0 <= i < n and round-trips through String.
 //
 // This package re-exports the paper-facing planes: functional,
 // performance, scalability, accuracy and the quantized compute plane.

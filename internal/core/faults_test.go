@@ -65,6 +65,20 @@ func TestSingleLaneFaultBounded(t *testing.T) {
 			}
 		}
 	}
+	// The bound is tight: a stuck-lit lane whose fault-free product is
+	// zero injects exactly one full stream.
+	zeros := make([]int, cfg.N)
+	fv, err := v.InjectFaults(Fault{Lane: 2, Kind: StuckLit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fv.Dot(zeros, zeros)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Est != bound || res.Exact != bound {
+		t.Fatalf("stuck-lit on a dark lane: est %d exact %d, want exactly the bound %d", res.Est, res.Exact, bound)
+	}
 	// Contrast: binary positional encoding's worst bit error is N/2 to N
 	// times the stochastic bound.
 	if v.BinaryWorstCaseBitError() < bound*cfg.N/2 {

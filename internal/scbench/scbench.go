@@ -1,8 +1,10 @@
 // Package scbench defines the SC-kernel benchmark bodies shared by the
 // `go test -bench` suite (internal/sckernel wraps them as standard
 // benchmarks) and cmd/benchsc, which runs them through
-// testing.Benchmark to emit BENCH_sc.json — the packed-vs-scalar
-// trajectory the CI speedup gate reads.
+// testing.Benchmark to emit BENCH_sc.json — the trajectory of
+// sckernel.Engine (its per-vector Dot and its layer-tile DotTile)
+// against the scalar reference quant.SconnaEngine, whose ratio the CI
+// speedup gate reads.
 //
 // The smoke shape is a fixed contract: the paper operating point (8-bit
 // streams, VDPE size 176) with a 6-chunk operand vector, so the dot
@@ -24,10 +26,10 @@ import (
 // streams, VDPE size 176, vector spanning 6 psum chunks, a micro-batch
 // the size of the serving default MaxBatch. The gated stream-scaling
 // point runs the same geometry at the core's maximum stream precision
-// (B=12, 4096-bit streams): the packed kernels are O(1) words per lane
-// while the scalar stream walk is O(2^B/64), so this is the shape where
-// the packed plane's structural advantage must show — the CI speedup
-// floor applies here.
+// (B=12, 4096-bit streams): the engine's closed-form count is O(1) per
+// lane while the scalar stream walk is O(2^B/64), so this is the shape
+// where its structural advantage must show — the CI speedup floor
+// applies here.
 const (
 	smokeBits  = 8
 	gateBits   = 12
@@ -86,7 +88,7 @@ func ScalarDot(b *testing.B) {
 	}
 }
 
-// PackedDot times the word-packed kernel engine on the identical shape
+// PackedDot times the packed engine (sckernel.Engine) on the identical shape
 // and configuration; results are bit-identical to ScalarDot.
 func PackedDot(b *testing.B) {
 	e, err := sckernel.New(Config())
@@ -182,21 +184,6 @@ func PackedTile(b *testing.B) {
 	}
 }
 
-// KernelCountsPacked times the raw packed count kernel (no ADC, no
-// chunking): the prefix-popcount fast path over one VDPE-sized vector.
-func KernelCountsPacked(b *testing.B) {
-	p := sckernel.PlaneFor(smokeBits)
-	div, dkv := operands()
-	div, dkv = div[:smokeN], dkv[:smokeN]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := p.DotCounts(div, dkv); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ScalarDotMaxB times the scalar plane at the gated stream-scaling
 // point: identical geometry to ScalarDot with 4096-bit streams, so each
 // lane's AndPopCount walks 64 words.
@@ -225,20 +212,5 @@ func PackedDotMaxB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Dot(div, dkv)
-	}
-}
-
-// KernelCountsGeneric times the generator-generic fused word kernel on
-// the same vector — the fallback the prefix path is measured against.
-func KernelCountsGeneric(b *testing.B) {
-	p := sckernel.PlaneFor(smokeBits)
-	div, dkv := operands()
-	div, dkv = div[:smokeN], dkv[:smokeN]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := p.DotCountsGeneric(div, dkv); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

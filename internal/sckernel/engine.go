@@ -9,20 +9,18 @@ import (
 	"repro/internal/quant"
 )
 
-// Engine is the word-packed SC serving engine: a quant.DotEngine that
-// computes exactly what quant.SconnaEngine computes — same chunk seams
-// as core.VDPC.DotLarge, same per-chunk PCA capacity check, the same
-// keyed core.ADC conversion — through the packed Plane kernels instead
-// of the per-lane scalar walk. Every result is a pure function of the
-// configuration and the operands.
+// Engine is the SC serving engine: a quant.DotEngine and
+// quant.TileDotter that computes exactly what quant.SconnaEngine
+// computes — same chunk seams as core.VDPC.DotLarge, same per-chunk PCA
+// capacity check, the same keyed core.ADC conversion — with the
+// closed-form lane count ib*wb >> B instead of the per-lane stream walk.
+// Every result is a pure function of the configuration and the operands.
 //
-// An Engine holds scratch (DotTile's packed operands and the
-// converter's row state), so it is used by one goroutine at a time; the serving plane's
-// pool and the evaluation shards already enforce that. The Plane behind
-// it is immutable and shared freely.
+// An Engine holds scratch (DotTile's packed operands and the converter's
+// row state), so it is used by one goroutine at a time; the serving
+// plane's pool and the evaluation shards already enforce that.
 type Engine struct {
 	cfg     core.Config
-	plane   *Plane
 	adc     *core.ADC
 	maxOnes int
 
@@ -50,7 +48,7 @@ type Engine struct {
 // bounds, positive geometry, DWDM grid capacity) so that any config the
 // scalar engine accepts — and only those — builds a packed engine.
 func New(cfg core.Config) (*Engine, error) {
-	if cfg.Bits < 1 || cfg.Bits > 12 {
+	if cfg.Bits < 1 || cfg.Bits > maxBits {
 		return nil, fmt.Errorf("sckernel: unsupported precision B=%d", cfg.Bits)
 	}
 	if cfg.N < 1 {
@@ -65,14 +63,13 @@ func New(cfg core.Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:     cfg,
-		plane:   PlaneFor(cfg.Bits),
 		adc:     core.NewADC(cfg),
 		maxOnes: cfg.N * (1 << uint(cfg.Bits)),
 		fields:  1,
 		width:   64,
 	}
-	if !e.plane.analytic {
-		return nil, fmt.Errorf("sckernel: B=%d plane is not rate-exact", cfg.Bits)
+	if !weightsRateExact(cfg.Bits) {
+		return nil, fmt.Errorf("sckernel: B=%d weight streams are not rate-exact", cfg.Bits)
 	}
 	// The widest packing whose fields hold a lane product (2B+1 bits, so
 	// its floor survives the shift clear of the next field's low bits)
@@ -113,7 +110,7 @@ func (e *Engine) Name() string {
 // zeros included, so the engine then reports false.
 func (e *Engine) SkipsZeros() bool { return e.cfg.IdealADC }
 
-// Dot implements quant.DotEngine with the packed kernels. Operand
+// Dot implements quant.DotEngine with the closed-form count. Operand
 // contract violations are programming errors in the quantizer, matching
 // quant.SconnaEngine.Dot's panic semantics.
 func (e *Engine) Dot(div, dkv []int) int {
@@ -124,10 +121,11 @@ func (e *Engine) Dot(div, dkv []int) int {
 	return est
 }
 
-// DotLarge mirrors core.VDPC.DotLarge on the packed plane: the vectors
-// decompose into ceil(S/N) psum chunks, each converts in order on the
-// row's keyed ADC stream, and the partial estimates reduce digitally.
-// Returned values are bit-identical to the scalar core, chunk for chunk.
+// DotLarge mirrors core.VDPC.DotLarge: the vectors decompose into
+// ceil(S/N) psum chunks, each counted by dotCounts and converted in
+// order on the row's keyed ADC stream, and the partial estimates reduce
+// digitally. Returned values are bit-identical to the scalar core, chunk
+// for chunk.
 func (e *Engine) DotLarge(div, dkv []int) (est, exact, chunks int, err error) {
 	if len(div) != len(dkv) {
 		return 0, 0, 0, fmt.Errorf("sckernel: vector length mismatch %d vs %d", len(div), len(dkv))
@@ -140,7 +138,7 @@ func (e *Engine) DotLarge(div, dkv []int) (est, exact, chunks int, err error) {
 		if end > len(div) {
 			end = len(div)
 		}
-		pos, neg, derr := e.plane.DotCounts(div[off:end], dkv[off:end])
+		pos, neg, derr := dotCounts(div[off:end], dkv[off:end], e.cfg.Bits)
 		if derr != nil {
 			return 0, 0, 0, derr
 		}
@@ -175,8 +173,8 @@ func (e *Engine) Chunks(s int) int {
 // DotTile implements quant.TileDotter: out[j*r+i] = Dot(row i, DKV j)
 // for the r = len(rows)/s rows and the len(dkvs)/s DKVs, bit for bit.
 //
-// It runs the plane's analytic tier (a lane's count is ib*wb >> B) as
-// one register-tiled kernel over packed operand rows. Each DKV is
+// It runs the closed-form count (a lane's count is ib*wb >> B) as one
+// register-tiled kernel over packed operand rows. Each DKV is
 // range-checked once into magnitude and sign-mask lanes (and digested
 // once for a noisy ADC), and each row is range-checked and digested
 // once. The rows are laid out lane-major, e.fields rows per uint64 in
@@ -195,7 +193,7 @@ func (e *Engine) DotTile(rows, dkvs []int, s int, out []int) {
 		return // no Dot calls: nothing to validate
 	}
 	ideal := e.adc.Ideal()
-	l := e.plane.L
+	l := 1 << uint(e.cfg.Bits)
 	e.lanes = grow(e.lanes, nd*s)
 	e.dkvMix = grow(e.dkvMix, nd)
 	for j := range nd {

@@ -321,25 +321,6 @@ func TestEngineOperandContract(t *testing.T) {
 	e.Dot([]int{-1}, []int{1})
 }
 
-// TestPlaneSharing: PlaneFor returns one image per precision — the
-// built-once-and-shared contract every pooled engine relies on.
-func TestPlaneSharing(t *testing.T) {
-	if PlaneFor(8) != PlaneFor(8) {
-		t.Fatal("PlaneFor(8) built two images")
-	}
-	a, err := New(testCfg(8, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(testCfg(8, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.plane != b.plane {
-		t.Fatal("engines at one precision hold different planes")
-	}
-}
-
 // TestZeroLengthDot: an empty vector is zero chunks and zero estimate —
 // exactly the scalar DotLarge walk — and leaves later results alone.
 func TestZeroLengthDot(t *testing.T) {

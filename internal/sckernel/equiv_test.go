@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/bitstream"
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/quant"
@@ -76,54 +75,40 @@ func operandCases(scale, length int, seed int64) []operandCase {
 }
 
 // TestKernelCountsExhaustive sweeps every (input, weight-magnitude) pair
-// at every precision B in 2..8, asserting all packed kernel tiers — the
-// analytic multiply-shift path the default plane takes, the
-// prefix-popcount path (exercised on a private plane with the analytic
-// tier disabled) and the generic fused word walk — reproduce the scalar
-// LUT multiply (sc.OSMLUT.MulInts) count for count: the per-lane bitwise
-// pin underneath everything else in this tier.
+// at every precision B in 1..8, asserting the closed-form count every
+// Engine runs (dotCounts) reproduces the scalar LUT multiply
+// (sc.OSMLUT.MulInts) count for count, at both weight signs: the
+// per-lane bitwise pin underneath everything else in this tier. The
+// rate-exactness proof that licenses the closed form must hold at every
+// precision New accepts.
 func TestKernelCountsExhaustive(t *testing.T) {
-	for bits := 2; bits <= 8; bits++ {
+	for bits := 1; bits <= maxBits; bits++ {
+		if !weightsRateExact(bits) {
+			t.Fatalf("B=%d: Bresenham weight streams failed rate-exactness verification", bits)
+		}
+	}
+	for bits := 1; bits <= 8; bits++ {
 		if testing.Short() && bits > 6 {
 			break
 		}
 		lut := sc.NewOSMLUT(bits)
-		p := PlaneFor(bits)
-		if !p.analytic {
-			t.Fatalf("B=%d: default Bresenham plane failed rate-exactness verification", bits)
-		}
-		// A private plane with the analytic tier masked off routes
-		// DotCounts through the prefix-popcount kernel.
-		pfx := NewPlane(bits, bitstream.Unary{}, bitstream.Bresenham{})
-		pfx.analytic = false
-		l := p.L
+		l := 1 << uint(bits)
 		for ib := 0; ib <= l; ib++ {
 			for wb := 0; wb <= l; wb++ {
 				want := lut.MulInts(ib, wb)
 				for _, sign := range []int{1, -1} {
-					div, dkv := []int{ib}, []int{sign * wb}
 					wantPos, wantNeg := want, 0
 					if sign < 0 && wb != 0 {
 						// -0 is 0: sign steering keys off wb<0.
 						wantPos, wantNeg = 0, want
 					}
-					pos, neg, err := p.DotCounts(div, dkv)
+					pos, neg, err := dotCounts([]int{ib}, []int{sign * wb}, bits)
 					if err != nil {
-						t.Fatalf("B=%d DotCounts(%d,%d): %v", bits, ib, sign*wb, err)
+						t.Fatalf("B=%d dotCounts(%d,%d): %v", bits, ib, sign*wb, err)
 					}
-					fpos, fneg, err := pfx.DotCounts(div, dkv)
-					if err != nil {
-						t.Fatalf("B=%d prefix DotCounts(%d,%d): %v", bits, ib, sign*wb, err)
-					}
-					gpos, gneg, err := p.DotCountsGeneric(div, dkv)
-					if err != nil {
-						t.Fatalf("B=%d DotCountsGeneric(%d,%d): %v", bits, ib, sign*wb, err)
-					}
-					if pos != wantPos || neg != wantNeg ||
-						fpos != wantPos || fneg != wantNeg ||
-						gpos != wantPos || gneg != wantNeg {
-						t.Fatalf("B=%d ib=%d wb=%d: kernel tiers (%d,%d)/(%d,%d)/(%d,%d) != scalar (%d,%d)",
-							bits, ib, sign*wb, pos, neg, fpos, fneg, gpos, gneg, wantPos, wantNeg)
+					if pos != wantPos || neg != wantNeg {
+						t.Fatalf("B=%d ib=%d wb=%d: dotCounts (%d,%d) != scalar (%d,%d)",
+							bits, ib, sign*wb, pos, neg, wantPos, wantNeg)
 					}
 				}
 			}
@@ -131,17 +116,16 @@ func TestKernelCountsExhaustive(t *testing.T) {
 	}
 }
 
-// TestDotCountsMatchVDPE pins the packed chunk kernels against the
-// scalar reference core.VDPE.Dot — PosOnes, NegOnes and Exact bitwise —
-// over the operand patterns at every precision in the sweep.
+// TestDotCountsMatchVDPE pins the chunk count against the scalar
+// reference core.VDPE.Dot — PosOnes, NegOnes and Exact bitwise — over
+// the operand patterns at every precision New accepts.
 func TestDotCountsMatchVDPE(t *testing.T) {
-	for bits := 2; bits <= 8; bits++ {
+	for bits := 1; bits <= maxBits; bits++ {
 		cfg := testCfg(bits, true)
 		vdpe, err := core.NewVDPE(cfg)
 		if err != nil {
 			t.Fatalf("B=%d NewVDPE: %v", bits, err)
 		}
-		p := PlaneFor(bits)
 		scale := 1 << uint(bits)
 		for _, length := range []int{1, cfg.N - 1, cfg.N} {
 			for _, oc := range operandCases(scale, length, int64(100*bits)) {
@@ -149,21 +133,13 @@ func TestDotCountsMatchVDPE(t *testing.T) {
 				if err != nil {
 					t.Fatalf("B=%d %s: VDPE.Dot: %v", bits, oc.name, err)
 				}
-				pos, neg, err := p.DotCounts(oc.div, oc.dkv)
+				pos, neg, err := dotCounts(oc.div, oc.dkv, bits)
 				if err != nil {
-					t.Fatalf("B=%d %s: DotCounts: %v", bits, oc.name, err)
-				}
-				gpos, gneg, err := p.DotCountsGeneric(oc.div, oc.dkv)
-				if err != nil {
-					t.Fatalf("B=%d %s: DotCountsGeneric: %v", bits, oc.name, err)
+					t.Fatalf("B=%d %s: dotCounts: %v", bits, oc.name, err)
 				}
 				if pos != ref.PosOnes || neg != ref.NegOnes {
-					t.Fatalf("B=%d %s len=%d: DotCounts (%d,%d) != VDPE (%d,%d)",
+					t.Fatalf("B=%d %s len=%d: dotCounts (%d,%d) != VDPE (%d,%d)",
 						bits, oc.name, length, pos, neg, ref.PosOnes, ref.NegOnes)
-				}
-				if gpos != ref.PosOnes || gneg != ref.NegOnes {
-					t.Fatalf("B=%d %s len=%d: generic kernel disagrees with VDPE",
-						bits, oc.name, length)
 				}
 				if exact := (pos - neg) * scale; exact != ref.Exact {
 					t.Fatalf("B=%d %s: exact %d != VDPE %d", bits, oc.name, exact, ref.Exact)
@@ -193,9 +169,12 @@ func engineTrace(t *testing.T, e quant.DotEngine, bits, n int) []int {
 // TestEngineMatchesSconnaEngine is the Est-level pin: the packed Engine
 // must reproduce the scalar quant.SconnaEngine call for call across
 // chunk seams — with the seeded ADC noise applied (and with it
-// disabled), at every precision of the sweep.
+// disabled), at every precision New accepts (B 2..8 under -short).
 func TestEngineMatchesSconnaEngine(t *testing.T) {
-	for bits := 2; bits <= 8; bits++ {
+	for bits := 1; bits <= maxBits; bits++ {
+		if testing.Short() && (bits < 2 || bits > 8) {
+			continue
+		}
 		for _, ideal := range []bool{false, true} {
 			cfg := testCfg(bits, ideal)
 			scalar, err := quant.NewSconnaEngine(cfg)
@@ -257,10 +236,10 @@ func TestDotLargeMatchesVDPC(t *testing.T) {
 
 // TestEquivalenceAcrossWorkerCounts fans the (precision, ADC-mode)
 // sweep across worker pools of size 1, 4 and GOMAXPROCS — every job
-// builds private engines but all jobs share the process-wide packed
-// Planes, which is exactly the serving pool's sharing shape. Under
-// -race this is the shared-image safety proof; the result traces must
-// be identical at every worker count.
+// builds private engines but all jobs share the process-wide memoized
+// rate-exactness proofs, which is exactly the serving pool's sharing
+// shape. Under -race this is the shared-state safety proof; the result
+// traces must be identical at every worker count.
 func TestEquivalenceAcrossWorkerCounts(t *testing.T) {
 	type job struct {
 		bits  int
