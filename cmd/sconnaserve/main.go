@@ -342,9 +342,14 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "mount /debug/pprof on the serving listener")
 	flag.Parse()
 
-	// Reject a bad engine name before any training or artifact loading.
+	// Reject a bad engine name, or a VDPE size the SC engine cannot
+	// build, before any training or artifact loading.
 	if !slices.Contains(engineNames, strings.ToLower(*engineName)) {
 		fmt.Fprintf(os.Stderr, "sconnaserve: unknown -engine %q; want one of %s\n", *engineName, strings.Join(engineNames, "|"))
+		os.Exit(2)
+	}
+	if strings.EqualFold(*engineName, "sconna") && *vdpeSize < 1 {
+		fmt.Fprintf(os.Stderr, "sconnaserve: -vdpe-size %d: want at least 1 with -engine sconna\n", *vdpeSize)
 		os.Exit(2)
 	}
 	if *router {
@@ -374,7 +379,7 @@ func main() {
 	}
 	if len(models) == 0 && len(pulls) == 0 {
 		// Reject bad model-building flags before any training.
-		if err := checkBuildFlags(*width, *trainN, *epochs, *weights != ""); err != nil {
+		if err := checkBuildFlags(*width, *trainN, *epochs, *bits, *weights != ""); err != nil {
 			fmt.Fprintln(os.Stderr, "sconnaserve:", err)
 			os.Exit(2)
 		}
@@ -514,10 +519,12 @@ func main() {
 
 // checkBuildFlags rejects the in-process build's flags that would panic
 // in nn.BuildSmallCNN (-width), calibrate the quantizer on no examples
-// (-train) or train nothing (-epochs, unless -weights supplies the
-// weights).
-func checkBuildFlags(width, trainN, epochs int, loadWeights bool) error {
+// (-train), train nothing (-epochs, unless -weights supplies the
+// weights) or ask the quantizer for a precision it refuses (-bits).
+func checkBuildFlags(width, trainN, epochs, bits int, loadWeights bool) error {
 	switch {
+	case bits < quant.MinBits || bits > quant.MaxBits:
+		return fmt.Errorf("-bits %d: want %d..%d", bits, quant.MinBits, quant.MaxBits)
 	case width < 1:
 		return fmt.Errorf("-width %d: want at least 1", width)
 	case trainN < 1:

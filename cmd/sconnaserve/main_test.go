@@ -42,8 +42,10 @@ func TestUnknownEngineExits2(t *testing.T) {
 }
 
 // A model-building flag that would panic in nn.BuildSmallCNN, calibrate
-// on no examples or train nothing must fail before any training: exit 2
-// with a message naming the flag. -epochs 0 is fine when -weights
+// on no examples, train nothing or ask for a precision the quantizer
+// refuses, and a -vdpe-size the SC engine cannot build (with any model
+// source), must fail before any training or loading: exit 2 with a
+// message naming the flag. -epochs 0 is fine when -weights
 // supplies the weights; that child then fails later, on the missing
 // file, with exit 1.
 func TestBadBuildFlagsExit2(t *testing.T) {
@@ -64,6 +66,11 @@ func TestBadBuildFlagsExit2(t *testing.T) {
 		{"epochs-0", "epochs", "-epochs 0", 2},
 		{"epochs-negative", "epochs", "-epochs -1", 2},
 		{"epochs-0-with-weights", "epochs", "-epochs 0 -weights " + missing, 1},
+		{"bits-0", "bits", "-bits 0", 2},
+		{"bits-1", "bits", "-bits 1", 2},
+		{"bits-9", "bits", "-bits 9", 2},
+		{"vdpe-size-0", "vdpe-size", "-vdpe-size 0", 2},
+		{"vdpe-size-negative-with-model", "vdpe-size", "-vdpe-size -3 -model default=" + missing, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], "-test.run=^TestBadBuildFlagsExit2$")

@@ -39,7 +39,13 @@
 //   - Functional plane: every SCONNA engine computes a pure function of
 //     its operands — the ADC error of a row is keyed by (ADCSeed, a
 //     digest of the DIV and DKV) through core.ADC — but holds scratch,
-//     so it is never shared across goroutines. A conv output's DIV and
+//     so it is never shared across goroutines. core.ADC realizes the
+//     paper's Gaussian converter error (1.3% MAPE, Sec. V-C) in integer
+//     fixed point: each psum chunk's two PCA errors are Q24 entries of
+//     a sigma-scaled table of 2^12 normal quantiles (built once per
+//     process), picked by fixed 12-bit fields of the row's keyed noise
+//     words, so a zero count skips nothing and no chunk's error depends
+//     on another's counts; no float and no math/rand on that path. A conv output's DIV and
 //     DKV are the paper's full S = K*K*D point vectors, zero-padded at
 //     the borders (internal/mapper, Sec. II-B), so its psum chunk seams
 //     fall where the accelerator's would.

@@ -1,11 +1,31 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
+	"sync"
 
 	"repro/internal/digest"
+)
+
+// MaxADCMAPEPct is the largest converter error Config.ADCMAPEPct may
+// ask for (the range is [0, MaxADCMAPEPct]). At 20% the table's largest
+// relative error, 3.67 sigma, is still below 1, so a converted count
+// never changes sign.
+const MaxADCMAPEPct = 20
+
+// The converter's fixed-point layout.
+const (
+	adcFrac  = 24 // relative errors are Q24 integers: round(eps * 2^24)
+	adcOne   = 1 << adcFrac
+	adcHalf  = adcOne >> 1
+	adcField = 12 // bits of a noise word that pick one table entry
+	adcSize  = 1 << adcField
+	adcMask  = adcSize - 1
+	// adcGamma steps between a row's noise words (the splitmix64
+	// increment).
+	adcGamma = 0x9e3779b97f4a7c15
 )
 
 // ADC is the keyed converter model shared by every SC dot engine (the
@@ -13,77 +33,133 @@ import (
 // estimates agree bit for bit.
 //
 // Each PCA's accumulated count passes through its own converter with a
-// zero-mean Gaussian relative error whose mean absolute value is
-// ADCMAPEPct (Sec. V-C). The draws are keyed, not streamed: a row (one
-// DIV·DKV product, however many psum chunks it decomposes into) draws
-// from a splitmix64 stream seeded by Mix64(ADCSeed ^ rowKey), one normal
-// per nonzero PCA count in chunk order (positive PCA first), where the
-// row key digests the two operand vectors (RowKey). A zero count reads
-// zero and draws nothing. A conversion is therefore a pure function of
-// the configuration and the operands: independent of call order, of
-// which VDPE runs a chunk, and of every other conversion. Keying by
-// content rather than by position (example, layer, pixel) lets a bare
-// Dot, which sees only operands, agree with every batched path; the
-// price is that two conversions of identical operands share one error
-// draw.
+// zero-mean Gaussian relative error eps whose mean absolute value is
+// ADCMAPEPct (Sec. V-C). The Gaussian is realized in integer fixed
+// point: eps is an entry of a table of 2^12 unit-normal midpoint
+// quantiles (built once per process; mean |z| 0.797845 against
+// sqrt(2/pi) = 0.797885, tails at +-3.67), scaled by sigma into Q24
+// integers (eps * 2^24). A chunk with PCA counts pos and neg converts to
 //
-// An ADC carries the draw state of the row in progress, so it belongs to
-// one goroutine at a time, like the engine that holds it.
+//	round(pos*(2^24+eps_p) - neg*(2^24+eps_n), 24 bits) * scale
+//
+// rounded half away from zero by a shift: no float, no math/rand.
+//
+// The errors are keyed, not streamed. A row (one DIV·DKV product,
+// however many psum chunks it decomposes into) reads 64-bit noise words:
+// word 0 is Mix64(ADCSeed ^ rowKey), where the row key digests the two
+// operand vectors (RowKey), and word w >= 1 is Mix64(word0 + w*gamma).
+// Chunk c owns two fixed 12-bit fields of word c/2, at bit 24*(c%2):
+// the positive PCA's table index, then the negative PCA's. Nothing is
+// skipped: a zero count reads its field and converts to zero, so no
+// chunk's error depends on another chunk's counts. A conversion is
+// therefore a pure function of the configuration, the operands and the
+// chunk index: independent of call order, of which VDPE runs a chunk,
+// and of every other conversion. Keying by content rather than by
+// position (example, layer, pixel) lets a bare Dot, which sees only
+// operands, agree with every batched path; the price is that two
+// conversions of identical operands share one error draw.
+//
+// An ADC carries the state of the row in progress (its noise words and
+// next chunk index), so it belongs to one goroutine at a time, like the
+// engine that holds it. Convert writes that state on every call, so an
+// ADC fills a whole 64-byte cache line: a serving pool builds its
+// engines one after another, and two converters sharing a line while
+// they run on two cores cost up to a quarter of the forward's speed.
 type ADC struct {
 	ideal bool
-	sigma float64 // relative noise sigma realizing the MAPE
+	eps   *[adcSize]int32 // sigma-scaled quantile table, Q24
 	seed  uint64
-	src   splitmix
-	rng   *rand.Rand
+	word0 uint64 // the row's first noise word
+	word  uint64 // the noise word of the chunk pair in progress
+	chunk int    // the row's next chunk index
+	_     [16]byte
 }
 
 // NewADC builds the converter for cfg. A zero ADCMAPEPct on a noisy
-// configuration selects the paper's 1.3%.
-func NewADC(cfg Config) *ADC {
+// configuration selects the paper's 1.3%. It fails closed on an
+// ADCMAPEPct outside [0, MaxADCMAPEPct] and on a VDPE whose PCA count
+// N*2^B could overflow the Q24 product pos*(2^24+eps) in an int64.
+func NewADC(cfg Config) (*ADC, error) {
 	mape := cfg.ADCMAPEPct
+	if !(mape >= 0 && mape <= MaxADCMAPEPct) {
+		return nil, fmt.Errorf("core: ADCMAPEPct=%v outside [0, %d]", mape, MaxADCMAPEPct)
+	}
 	if mape == 0 && !cfg.IdealADC {
 		mape = 1.3
 	}
-	a := &ADC{
-		ideal: cfg.IdealADC,
-		// E|eps| = sigma*sqrt(2/pi) = MAPE/100.
-		sigma: mape / 100 * math.Sqrt(math.Pi/2),
-		seed:  uint64(cfg.ADCSeed),
+	eps := adcTable(mape)
+	bound := (math.MaxInt64 - adcHalf) / (adcOne + int64(eps[adcSize-1]))
+	if cfg.Bits < 0 || cfg.Bits >= 63 || int64(cfg.N) > bound>>uint(cfg.Bits) {
+		return nil, fmt.Errorf("core: VDPE size N=%d at B=%d: a PCA count N*2^B past %d overflows the ADC's Q24 product",
+			cfg.N, cfg.Bits, bound)
 	}
-	a.rng = rand.New(&a.src)
-	return a
+	return &ADC{ideal: cfg.IdealADC, eps: eps, seed: uint64(cfg.ADCSeed)}, nil
 }
 
 // Ideal reports a noise-free converter: Convert passes the exact count
 // through and ignores row keys.
 func (a *ADC) Ideal() bool { return a.ideal }
 
-// Start begins the noise stream of the row with key rowKey.
-func (a *ADC) Start(rowKey uint64) { a.src.s = digest.Mix64(a.seed ^ rowKey) }
+// Start begins the row with key rowKey: its first noise word, at chunk 0.
+func (a *ADC) Start(rowKey uint64) {
+	a.word0 = digest.Mix64(a.seed ^ rowKey)
+	a.word, a.chunk = a.word0, 0
+}
 
-// StartRow begins the noise stream of the row (div, dkv), keyed by its
-// operands. An ideal converter skips the digest.
+// StartRow begins the row (div, dkv), keyed by its operands. An ideal
+// converter skips the digest.
 func (a *ADC) StartRow(div, dkv []int) {
 	if !a.ideal {
 		a.Start(RowKey(VecKey(div), VecKey(dkv)))
 	}
 }
 
-// Convert converts one psum chunk's PCA counts into integer product
-// units, drawing the next normal of the current row's stream for each
-// nonzero count.
+// Convert converts the current row's next psum chunk's PCA counts into
+// integer product units. Counts must lie in [0, N*2^B].
 func (a *ADC) Convert(pos, neg, scale int) int {
 	if a.ideal {
 		return (pos - neg) * scale
 	}
-	var est float64
-	if pos != 0 {
-		est = float64(pos) * (1 + a.rng.NormFloat64()*a.sigma)
+	c := a.chunk
+	a.chunk++
+	if c&1 == 0 && c != 0 {
+		a.word = digest.Mix64(a.word0 + uint64(c>>1)*adcGamma)
 	}
-	if neg != 0 {
-		est -= float64(neg) * (1 + a.rng.NormFloat64()*a.sigma)
+	f := a.word >> (uint(c&1) * 2 * adcField)
+	v := int64(pos)*(adcOne+int64(a.eps[f&adcMask])) - int64(neg)*(adcOne+int64(a.eps[f>>adcField&adcMask]))
+	s := v >> 63 // all ones when v < 0: round |v|, then restore the sign
+	r := (((v^s)-s+adcHalf)>>adcFrac ^ s) - s
+	return int(r) * scale
+}
+
+// unitQuantiles is the table of 2^12 unit-normal midpoint quantiles,
+// z_i = sqrt(2)*erfinv(2(i+1/2)/2^12 - 1), built on first use.
+var unitQuantiles = sync.OnceValue(func() *[adcSize]float64 {
+	var z [adcSize]float64
+	for i := range z {
+		z[i] = math.Sqrt2 * math.Erfinv(float64(2*i+1-adcSize)/adcSize)
 	}
-	return int(math.Round(est)) * scale
+	return &z
+})
+
+// adcTables memoizes the sigma-scaled Q24 tables by MAPE, so every
+// converter at one operating point (a VDPC holds M+1 of them) shares one.
+var adcTables sync.Map // math.Float64bits(mape) -> *[adcSize]int32
+
+// adcTable returns the Q24 relative-error table realizing mape percent:
+// round(z_i * sigma * 2^24) with E|eps| = sigma*sqrt(2/pi) = mape/100.
+func adcTable(mape float64) *[adcSize]int32 {
+	key := math.Float64bits(mape)
+	if t, ok := adcTables.Load(key); ok {
+		return t.(*[adcSize]int32)
+	}
+	sigma := mape / 100 * math.Sqrt(math.Pi/2)
+	var t [adcSize]int32
+	for i, z := range unitQuantiles() {
+		t[i] = int32(math.Round(z * sigma * adcOne))
+	}
+	got, _ := adcTables.LoadOrStore(key, &t)
+	return got.(*[adcSize]int32)
 }
 
 // VecKey digests one operand vector: its length and every lane value.
@@ -109,18 +185,3 @@ func VecKey(v []int) uint64 {
 // RowKey combines the digests of a row's DIV and DKV into its noise key.
 // It is asymmetric, so swapping the operands changes the key.
 func RowKey(divKey, dkvKey uint64) uint64 { return divKey ^ digest.Mix64(dkvKey) }
-
-// splitmix is a resettable splitmix64 rand.Source64: Start reseeds it
-// per row at the cost of one assignment, and math/rand's NormFloat64
-// draws through it.
-type splitmix struct{ s uint64 }
-
-func (r *splitmix) Uint64() uint64 {
-	x := digest.Mix64(r.s)
-	r.s += 0x9e3779b97f4a7c15
-	return x
-}
-
-func (r *splitmix) Int63() int64 { return int64(r.Uint64() >> 1) }
-
-func (r *splitmix) Seed(seed int64) { r.s = uint64(seed) }

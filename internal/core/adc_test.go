@@ -1,10 +1,36 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
+	"unsafe"
 )
+
+// mustADC builds the converter for cfg or fails the test.
+func mustADC(tb testing.TB, cfg Config) *ADC {
+	tb.Helper()
+	a, err := NewADC(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a
+}
+
+// convertAt starts the row key and converts (pos, neg) as its chunk c,
+// the chunks before it reading zero counts.
+func convertAt(a *ADC, key uint64, c, pos, neg, scale int) int {
+	a.Start(key)
+	for range c {
+		a.Convert(0, 0, scale)
+	}
+	return a.Convert(pos, neg, scale)
+}
 
 // TestADCStatistics pins the converter model over 4*10^5 keyed
 // conversions (two chunks per row, each converting a count on one PCA):
@@ -15,7 +41,7 @@ import (
 func TestADCStatistics(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ADCSeed = 7
-	a := NewADC(cfg)
+	a := mustADC(t, cfg)
 	const rows = 200000
 	const count = 1 << 20
 	var sum, sumAbs float64
@@ -43,11 +69,12 @@ func TestADCStatistics(t *testing.T) {
 
 // TestADCKeyed: a conversion is a pure function of (seed, row key,
 // chunk index, counts) — restarting a row replays it, other keys and
-// other seeds draw differently, and an ideal converter passes the exact
-// count through.
+// other seeds draw differently, a chunk's result does not depend on the
+// counts of the chunks before it (zero or not), and an ideal converter
+// passes the exact count through.
 func TestADCKeyed(t *testing.T) {
 	cfg := DefaultConfig()
-	a, b := NewADC(cfg), NewADC(cfg)
+	a, b := mustADC(t, cfg), mustADC(t, cfg)
 	row := func(a *ADC, key uint64) [3]int {
 		a.Start(key)
 		return [3]int{a.Convert(5000, 3000, 4), a.Convert(7000, 100, 4), a.Convert(1, 9000, 4)}
@@ -63,13 +90,230 @@ func TestADCKeyed(t *testing.T) {
 	if row(a, 43) == first {
 		t.Fatal("keys 42 and 43 drew identical noise")
 	}
+	for c, counts := range [][2]int{{5000, 3000}, {7000, 100}, {1, 9000}} {
+		if got := convertAt(a, 42, c, counts[0], counts[1], 4); got != first[c] {
+			t.Fatalf("chunk %d after zero-count chunks: %d, after nonzero ones: %d", c, got, first[c])
+		}
+	}
+	a.Start(42)
+	a.Convert(0, 3000, 4) // chunk 0's positive count now zero
+	if got := a.Convert(7000, 100, 4); got != first[1] {
+		t.Fatalf("chunk 1 after a zero positive count: %d, want %d", got, first[1])
+	}
 	cfg.ADCSeed++
-	if row(NewADC(cfg), 42) == first {
+	if row(mustADC(t, cfg), 42) == first {
 		t.Fatal("two ADC seeds drew identical noise")
 	}
 	cfg.IdealADC = true
-	if got := row(NewADC(cfg), 42); got != [3]int{8000, 27600, -35996} {
+	if got := row(mustADC(t, cfg), 42); got != [3]int{8000, 27600, -35996} {
 		t.Fatalf("ideal converter %v", got)
+	}
+}
+
+// TestADCRealizationGolden pins the noise realization, so a change to
+// the quantile table, its scaling, the field layout or the rounding
+// fails here rather than passing every statistical test unseen: the
+// digest of the sigma-scaled Q24 table at the paper's 1.3% MAPE, the
+// unit table's moments, and Convert on fixed (seed, key, chunk, pos,
+// neg) cases, zero counts and third chunks (a second noise word) among
+// them.
+func TestADCRealizationGolden(t *testing.T) {
+	var sumAbs float64
+	z := unitQuantiles()
+	for _, v := range z {
+		sumAbs += math.Abs(v)
+	}
+	if got := sumAbs / adcSize; math.Abs(got-0.797845) > 5e-7 {
+		t.Fatalf("unit table E|z| = %.7f, want 0.797845", got)
+	}
+	if z[0] != -z[adcSize-1] || math.Abs(z[adcSize-1]-3.67) > 0.005 {
+		t.Fatalf("unit table tails %.4f, %.4f, want -+3.67", z[0], z[adcSize-1])
+	}
+
+	a := mustADC(t, DefaultConfig())
+	buf := make([]byte, 4*adcSize)
+	for i, e := range a.eps {
+		binary.LittleEndian.PutUint32(buf[4*i:], uint32(e))
+	}
+	sum := sha256.Sum256(buf)
+	if got, want := hex.EncodeToString(sum[:8]), "a9b510ddfd986321"; got != want {
+		t.Errorf("1.3%% table digest %s, want %s", got, want)
+	}
+	if got := a.eps[adcSize-1]; got != 1002747 {
+		t.Errorf("1.3%% table max eps %d (Q24), want 1002747", got)
+	}
+
+	for _, tc := range []struct {
+		seed          int64
+		key           uint64
+		chunk         int
+		pos, neg, est int
+	}{
+		{1, 0, 0, 0, 0, 0},
+		{1, 42, 0, 5000, 3000, 557568},
+		{1, 42, 1, 7000, 100, 1719808},
+		{1, 42, 2, 1, 9000, -2327808},
+		{2023, 0xdeadbeef, 0, 0, 4096, -1021696},
+		{2023, 0xdeadbeef, 1, 16384, 0, 4176640},
+		{2023, 0xdeadbeef, 2, 0, 0, 0},
+		{2023, 7, 2, 11264, 11264, 4096},
+		{-5, 1 << 63, 3, 700, 20, 170752},
+		{7, 99, 0, 1, 0, 256},
+		{7, 99, 1, 37, 38, -256},
+	} {
+		cfg := DefaultConfig()
+		cfg.ADCSeed = tc.seed
+		if got := convertAt(mustADC(t, cfg), tc.key, tc.chunk, tc.pos, tc.neg, 256); got != tc.est {
+			t.Errorf("seed %d key %#x chunk %d (%d, %d): %d, want %d", tc.seed, tc.key, tc.chunk, tc.pos, tc.neg, got, tc.est)
+		}
+	}
+}
+
+// TestADCFillsCacheLine: an ADC is exactly one 64-byte cache line on
+// 64-bit platforms, so converters allocated side by side never share
+// the line their row state is written to.
+func TestADCFillsCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(ADC{}); bits.UintSize == 64 && size != 64 {
+		t.Fatalf("ADC is %d bytes, want 64", size)
+	}
+}
+
+// TestADCConfigRange: NewADC, and through it NewVDPE and NewVDPC, fail
+// closed on an ADCMAPEPct outside [0, MaxADCMAPEPct] and on a VDPE size
+// whose PCA count could overflow the Q24 product, naming the field, and
+// accept the paper point and the range's ends.
+func TestADCConfigRange(t *testing.T) {
+	huge := DefaultConfig()
+	huge.ChannelSpacingNM = 1e-12 // a grid wide enough for any N
+	huge.Bits, huge.N = 12, 1<<40
+	for _, tc := range []struct {
+		name  string
+		edit  func(*Config)
+		field string // "" accepts
+	}{
+		{"paper", func(*Config) {}, ""},
+		{"mape-0", func(c *Config) { c.ADCMAPEPct = 0 }, ""},
+		{"mape-max", func(c *Config) { c.ADCMAPEPct = MaxADCMAPEPct }, ""},
+		{"ideal", func(c *Config) { c.IdealADC = true }, ""},
+		{"mape-negative", func(c *Config) { c.ADCMAPEPct = -1 }, "ADCMAPEPct"},
+		{"mape-above", func(c *Config) { c.ADCMAPEPct = MaxADCMAPEPct + 0.5 }, "ADCMAPEPct"},
+		{"mape-nan", func(c *Config) { c.ADCMAPEPct = math.NaN() }, "ADCMAPEPct"},
+		{"mape-inf", func(c *Config) { c.ADCMAPEPct = math.Inf(1) }, "ADCMAPEPct"},
+		{"ideal-mape-above", func(c *Config) { c.IdealADC, c.ADCMAPEPct = true, 50 }, "ADCMAPEPct"},
+		{"overflow", func(c *Config) { *c = huge }, "N="},
+		{"overflow-ideal", func(c *Config) { *c = huge; c.IdealADC = true }, "N="},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.N, cfg.M = 16, 2
+			tc.edit(&cfg)
+			for name, build := range map[string]func() error{
+				"NewADC":  func() error { _, err := NewADC(cfg); return err },
+				"NewVDPE": func() error { _, err := NewVDPE(cfg); return err },
+				"NewVDPC": func() error { _, err := NewVDPC(cfg); return err },
+			} {
+				err := build()
+				if (err == nil) != (tc.field == "") || err != nil && !strings.Contains(err.Error(), tc.field) {
+					t.Errorf("%s: err %v, want one naming %q", name, err, tc.field)
+				}
+			}
+		})
+	}
+	// The bound is exact: the largest accepted N builds, one more fails.
+	cfg := huge
+	a := mustADC(t, DefaultConfig())
+	limit := (math.MaxInt64 - adcHalf) / (adcOne + int64(a.eps[adcSize-1])) >> uint(cfg.Bits)
+	cfg.N = int(limit)
+	if _, err := NewADC(cfg); err != nil {
+		t.Fatalf("N=%d: %v", cfg.N, err)
+	}
+	cfg.N++
+	if _, err := NewADC(cfg); err == nil {
+		t.Fatalf("N=%d accepted past the Q24 range", cfg.N)
+	}
+}
+
+// FuzzConvert: on counts in [0, N*2^B], Convert never panics; an ideal
+// converter returns (pos-neg)*scale; a noisy one lies within
+// (pos+neg)*max|eps| plus one rounding unit of exact, in product units;
+// restarting the row replays it, whatever counts the chunks before
+// carried.
+func FuzzConvert(f *testing.F) {
+	f.Add(int64(2023), uint64(0), uint8(7), uint16(63), uint8(0), uint8(0), uint64(300), uint64(200))
+	f.Add(int64(1), uint64(42), uint8(11), uint16(4095), uint8(200), uint8(2), uint64(1<<40), uint64(0))
+	f.Fuzz(func(t *testing.T, seed int64, key uint64, bits uint8, n uint16, mape, chunk uint8, pos, neg uint64) {
+		cfg := DefaultConfig()
+		cfg.Bits = 1 + int(bits)%12
+		cfg.N = 1 + int(n)%4096
+		cfg.ADCMAPEPct = float64(mape%201) / 10 // [0, 20]; 0 is the paper's 1.3
+		cfg.ADCSeed = seed
+		scale := 1 << uint(cfg.Bits)
+		maxOnes := uint64(cfg.N * scale)
+		p, q, c := int(pos%(maxOnes+1)), int(neg%(maxOnes+1)), int(chunk%8)
+
+		a := mustADC(t, cfg)
+		est := convertAt(a, key, c, p, q, scale)
+		a.Start(key)
+		for range c {
+			a.Convert(q, p, scale) // earlier chunks with other counts
+		}
+		if again := a.Convert(p, q, scale); again != est {
+			t.Fatalf("replay after nonzero chunks %d, first %d", again, est)
+		}
+		if est%scale != 0 {
+			t.Fatalf("estimate %d not a multiple of scale %d", est, scale)
+		}
+		dev := est/scale - (p - q)
+		if dev < 0 {
+			dev = -dev
+		}
+		// |round(x) - (p-q)| <= (p+q)*max|eps|/2^24 + 1/2, in Q24.
+		if bound := int64(p+q)*int64(a.eps[adcSize-1]) + adcOne; int64(dev)<<adcFrac > bound {
+			t.Fatalf("counts (%d, %d) at MAPE %v: estimate off by %d counts, bound %.3f",
+				p, q, cfg.ADCMAPEPct, dev, float64(bound)/adcOne)
+		}
+
+		cfg.IdealADC = true
+		if got := convertAt(mustADC(t, cfg), key, c, p, q, scale); got != (p-q)*scale {
+			t.Fatalf("ideal converter %d, want %d", got, (p-q)*scale)
+		}
+	})
+}
+
+// BenchmarkADCConvertRows times the keyed conversion alone over the
+// served chunk mix: rows of the served model's three conv tiles (S = 9,
+// 36, 72 lanes on 64-lane VDPEs, so one, one and two psum chunks per
+// row, in the tiles' row proportions 256:64:16 per DKV), each starting
+// its key and converting its chunks' counts. ns/op is per row.
+func BenchmarkADCConvertRows(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.N, cfg.M, cfg.ADCSeed = 64, 1, 2023
+	a := mustADC(b, cfg)
+	const scale = 256
+	type row struct {
+		key    uint64
+		counts [][2]int
+	}
+	rng := rand.New(rand.NewSource(11))
+	var rows []row
+	for _, sh := range []struct{ n, s int }{{256, 9}, {64, 36}, {16, 72}} {
+		for range sh.n {
+			r := row{key: rng.Uint64()}
+			for lo := 0; lo < sh.s; lo += cfg.N {
+				lanes := min(cfg.N, sh.s-lo)
+				r.counts = append(r.counts, [2]int{rng.Intn(lanes*scale/4 + 1), rng.Intn(lanes*scale/4 + 1)})
+			}
+			rows = append(rows, r)
+		}
+	}
+	i := 0
+	for b.Loop() {
+		r := &rows[i%len(rows)]
+		i++
+		a.Start(r.key)
+		for _, c := range r.counts {
+			a.Convert(c[0], c[1], scale)
+		}
 	}
 }
 

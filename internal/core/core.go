@@ -40,7 +40,8 @@ type Config struct {
 	// applied to each PCA's accumulated count (1.3% in Sec. V-C; the TIR
 	// amplifier auto-ranges the accumulation into the ADC window, so the
 	// error is relative to the result, which is how the paper applies it
-	// in its accuracy study).
+	// in its accuracy study). It must lie in [0, MaxADCMAPEPct]; zero on
+	// a noisy converter selects the paper's 1.3%.
 	ADCMAPEPct float64
 	// ADCSeed keys the ADC noise: with the operands it fixes every
 	// conversion's error (see ADC).
@@ -125,7 +126,7 @@ type VDPE struct {
 }
 
 // NewVDPE builds a VDPE for cfg. It validates that N fits the DWDM grid
-// within one FSR.
+// within one FSR and that the converter accepts cfg (see NewADC).
 func NewVDPE(cfg Config) (*VDPE, error) {
 	if cfg.Bits < 1 || cfg.Bits > 12 {
 		return nil, fmt.Errorf("core: unsupported precision B=%d", cfg.Bits)
@@ -137,12 +138,15 @@ func NewVDPE(cfg Config) (*VDPE, error) {
 	if maxN := probe.ChannelCount(cfg.ChannelSpacingNM); cfg.N > maxN {
 		return nil, fmt.Errorf("core: N=%d exceeds FSR-limited channel count %d", cfg.N, maxN)
 	}
+	adc, err := NewADC(cfg)
+	if err != nil {
+		return nil, err
+	}
 	lut := sc.NewOSMLUT(cfg.Bits)
-	v := &VDPE{cfg: cfg}
+	v := &VDPE{cfg: cfg, adc: adc}
 	// The PCA capacity requirement is defined by this VDPE: it must
 	// accumulate up to N*2^B ones (Sec. V-C).
 	v.maxOnes = cfg.N * (1 << uint(cfg.Bits))
-	v.adc = NewADC(cfg)
 	for i := 0; i < cfg.N; i++ {
 		gate := photonics.NewOAG(cfg.FWHMNM)
 		lambda := cfg.BaseWavelengthNM - float64(i)*cfg.ChannelSpacingNM
@@ -240,7 +244,7 @@ func NewVDPC(cfg Config) (*VDPC, error) {
 	if cfg.M < 1 {
 		return nil, fmt.Errorf("core: VDPC size M=%d must be positive", cfg.M)
 	}
-	c := &VDPC{cfg: cfg, adc: NewADC(cfg)}
+	c := &VDPC{cfg: cfg}
 	for i := 0; i < cfg.M; i++ {
 		v, err := NewVDPE(cfg)
 		if err != nil {
@@ -248,6 +252,11 @@ func NewVDPC(cfg Config) (*VDPC, error) {
 		}
 		c.vdpes = append(c.vdpes, v)
 	}
+	adc, err := NewADC(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.adc = adc
 	return c, nil
 }
 

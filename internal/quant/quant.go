@@ -219,6 +219,13 @@ type qlayer struct {
 	flat  bool
 }
 
+// MinBits and MaxBits bound the operand precisions Quantize and Load
+// accept.
+const (
+	MinBits = 2
+	MaxBits = 8
+)
+
 // Network is a quantized network executable on any DotEngine.
 type Network struct {
 	Bits   int
@@ -232,7 +239,7 @@ func maxAbsOfParam(t *tensor.T) float32 { return t.MaxAbs() }
 // operand precision bits, calibrating per-layer activation scales over the
 // calibration examples (max-abs calibration).
 func Quantize(src *nn.Network, bits int, calibration []nn.Example) (*Network, error) {
-	if bits < 2 || bits > 8 {
+	if bits < MinBits || bits > MaxBits {
 		return nil, fmt.Errorf("quant: unsupported precision %d", bits)
 	}
 	qmax := float32(int(1)<<uint(bits) - 1)

@@ -138,8 +138,8 @@ func Load(r io.Reader) (*Network, error) {
 	if a.Schema != artifactSchema {
 		return nil, fmt.Errorf("quant: artifact schema %q, want %q", a.Schema, artifactSchema)
 	}
-	if a.Bits < 2 || a.Bits > 8 {
-		return nil, fmt.Errorf("quant: artifact precision %d outside [2,8]", a.Bits)
+	if a.Bits < MinBits || a.Bits > MaxBits {
+		return nil, fmt.Errorf("quant: artifact precision %d outside [%d,%d]", a.Bits, MinBits, MaxBits)
 	}
 	qmax := int(1)<<uint(a.Bits) - 1
 	qn := &Network{Bits: a.Bits}

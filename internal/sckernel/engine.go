@@ -45,8 +45,9 @@ type Engine struct {
 
 // New builds a packed engine for the functional configuration cfg,
 // enforcing the same operating-point contract as core.NewVDPE (precision
-// bounds, positive geometry, DWDM grid capacity) so that any config the
-// scalar engine accepts — and only those — builds a packed engine.
+// bounds, positive geometry, DWDM grid capacity, the converter's range)
+// so that any config the scalar engine accepts — and only those —
+// builds a packed engine.
 func New(cfg core.Config) (*Engine, error) {
 	if cfg.Bits < 1 || cfg.Bits > maxBits {
 		return nil, fmt.Errorf("sckernel: unsupported precision B=%d", cfg.Bits)
@@ -61,9 +62,13 @@ func New(cfg core.Config) (*Engine, error) {
 	if maxN := probe.ChannelCount(cfg.ChannelSpacingNM); cfg.N > maxN {
 		return nil, fmt.Errorf("sckernel: N=%d exceeds FSR-limited channel count %d", cfg.N, maxN)
 	}
+	adc, err := core.NewADC(cfg)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		cfg:     cfg,
-		adc:     core.NewADC(cfg),
+		adc:     adc,
 		maxOnes: cfg.N * (1 << uint(cfg.Bits)),
 		fields:  1,
 		width:   64,
@@ -101,8 +106,8 @@ func (e *Engine) Name() string {
 // SkipsZeros implements quant.ZeroSkipper: with an ideal ADC, dropping
 // zero-DIV lanes is bit-exact. Lanes are independent (a zero activation
 // lights no stream bits, so its pos/neg accumulator contribution is
-// exactly zero), the ideal conversion is (pos-neg)*scale with no RNG
-// draw — so per-chunk partials sum to the same total however the chunk
+// exactly zero), the ideal conversion is (pos-neg)*scale with no
+// noise — so per-chunk partials sum to the same total however the chunk
 // seams fall on the shorter vector — and the PCA capacity check cannot
 // fire on a lane subset when it could not fire on the full set (pos and
 // neg only shrink, and both are bounded by N*2^B = maxOnes regardless).
@@ -123,9 +128,9 @@ func (e *Engine) Dot(div, dkv []int) int {
 
 // DotLarge mirrors core.VDPC.DotLarge: the vectors decompose into
 // ceil(S/N) psum chunks, each counted by dotCounts and converted in
-// order on the row's keyed ADC stream, and the partial estimates reduce
-// digitally. Returned values are bit-identical to the scalar core, chunk
-// for chunk.
+// order on the row's keyed ADC noise words, and the partial estimates
+// reduce digitally. Returned values are bit-identical to the scalar
+// core, chunk for chunk.
 func (e *Engine) DotLarge(div, dkv []int) (est, exact, chunks int, err error) {
 	if len(div) != len(dkv) {
 		return 0, 0, 0, fmt.Errorf("sckernel: vector length mismatch %d vs %d", len(div), len(dkv))
@@ -184,7 +189,7 @@ func (e *Engine) Chunks(s int) int {
 // as the total. A field holds a product's 2B+1 bits and a psum chunk's
 // count sum (at most N*2^B), so no field carries into the next and the
 // counts are exactly Dot's, chunk seams included. Each (row, DKV) then
-// converts its chunks in order on its own keyed ADC stream. DotTile
+// converts its chunks in order on its own keyed ADC row. DotTile
 // panics where the Dot loop would (pinned by the tile equivalence
 // tests and FuzzDotTile).
 func (e *Engine) DotTile(rows, dkvs []int, s int, out []int) {
@@ -264,7 +269,7 @@ func (e *Engine) DotTile(rows, dkvs []int, s int, out []int) {
 // convertTile writes DKV j's results for the rn packed rows from row
 // r0, reading its chunk sums at e.sums[h], e.sums[h+2], ...: each row's
 // counts come out of its field and convert in chunk order on the row's
-// keyed ADC stream.
+// keyed ADC noise words.
 func (e *Engine) convertTile(out []int, nr, j, h, r0, rn int) {
 	scale := 1 << uint(e.cfg.Bits)
 	ideal, mix := e.adc.Ideal(), e.dkvMix[j]

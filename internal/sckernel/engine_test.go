@@ -293,6 +293,38 @@ func TestEngineConfigValidation(t *testing.T) {
 	}
 }
 
+// TestEngineADCRange: New fails closed, as core.NewVDPC does, on an
+// ADCMAPEPct outside [0, core.MaxADCMAPEPct] and on a VDPE size whose PCA
+// count could overflow the converter's Q24 product, naming the field;
+// the paper point builds.
+func TestEngineADCRange(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		edit  func(*core.Config)
+		field string // "" accepts
+	}{
+		{"paper", func(c *core.Config) { *c = core.DefaultConfig() }, ""},
+		{"mape-max", func(c *core.Config) { c.ADCMAPEPct = core.MaxADCMAPEPct }, ""},
+		{"mape-negative", func(c *core.Config) { c.ADCMAPEPct = -0.1 }, "ADCMAPEPct"},
+		{"mape-above", func(c *core.Config) { c.ADCMAPEPct = 21 }, "ADCMAPEPct"},
+		{"overflow", func(c *core.Config) {
+			c.Bits, c.N, c.ChannelSpacingNM = 12, 1<<40, 1e-12
+		}, "N="},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testCfg(8, false)
+			tc.edit(&cfg)
+			_, err := New(cfg)
+			if (err == nil) != (tc.field == "") || err != nil && !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("err %v, want one naming %q", err, tc.field)
+			}
+			if _, cerr := core.NewVDPC(cfg); (cerr == nil) != (err == nil) {
+				t.Fatalf("New err %v, core.NewVDPC err %v", err, cerr)
+			}
+		})
+	}
+}
+
 // TestEngineOperandContract: out-of-range operands panic through Dot
 // (the quantizer contract, matching quant.SconnaEngine) and error
 // through DotLarge.
