@@ -348,9 +348,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sconnaserve: unknown -engine %q; want one of %s\n", *engineName, strings.Join(engineNames, "|"))
 		os.Exit(2)
 	}
-	if strings.EqualFold(*engineName, "sconna") && *vdpeSize < 1 {
-		fmt.Fprintf(os.Stderr, "sconnaserve: -vdpe-size %d: want at least 1 with -engine sconna\n", *vdpeSize)
-		os.Exit(2)
+	if strings.EqualFold(*engineName, "sconna") {
+		if err := checkVDPESize(*vdpeSize, *adcSeed); err != nil {
+			fmt.Fprintln(os.Stderr, "sconnaserve:", err)
+			os.Exit(2)
+		}
 	}
 	if *router {
 		if *replicas == "" {
@@ -573,6 +575,28 @@ func quantizeModel(net *nn.Network, bits int, examples []nn.Example) (*quant.Net
 	return quant.Quantize(net, bits, calib)
 }
 
+// checkVDPESize runs the SC engine's own configuration check
+// (sckernel.New) on -vdpe-size, so a size the engine cannot build — not
+// positive, past the DWDM grid's channel count, or overflowing the
+// converter — exits before any training. It checks at quant.MaxBits,
+// the most demanding precision a served model can have.
+func checkVDPESize(vdpeSize int, adcSeed int64) error {
+	if _, err := sckernel.New(scConfig(quant.MaxBits, vdpeSize, adcSeed)); err != nil {
+		return fmt.Errorf("-vdpe-size %d: %v", vdpeSize, err)
+	}
+	return nil
+}
+
+// scConfig is the functional core configuration of -engine sconna.
+func scConfig(bits, vdpeSize int, adcSeed int64) core.Config {
+	ccfg := core.DefaultConfig()
+	ccfg.Bits = bits
+	ccfg.N = vdpeSize
+	ccfg.M = 1
+	ccfg.ADCSeed = adcSeed
+	return ccfg
+}
+
 // buildFactory selects the dot-product substrate at the model's operand
 // precision.
 func buildFactory(name string, bits, vdpeSize int, adcSeed int64) (quant.EngineFactory, error) {
@@ -582,12 +606,7 @@ func buildFactory(name string, bits, vdpeSize int, adcSeed int64) (quant.EngineF
 	case "sconna":
 		// The packed SC kernel engine: bit-identical to the scalar
 		// reference quant.SconnaEngine on every operand.
-		ccfg := core.DefaultConfig()
-		ccfg.Bits = bits
-		ccfg.N = vdpeSize
-		ccfg.M = 1
-		ccfg.ADCSeed = adcSeed
-		return sckernel.EngineFactory(ccfg), nil
+		return sckernel.EngineFactory(scConfig(bits, vdpeSize, adcSeed)), nil
 	}
 	return nil, fmt.Errorf("unknown engine %q", name)
 }

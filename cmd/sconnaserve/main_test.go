@@ -70,6 +70,7 @@ func TestBadBuildFlagsExit2(t *testing.T) {
 		{"bits-1", "bits", "-bits 1", 2},
 		{"bits-9", "bits", "-bits 9", 2},
 		{"vdpe-size-0", "vdpe-size", "-vdpe-size 0", 2},
+		{"vdpe-size-past-grid", "vdpe-size", "-vdpe-size 201", 2},
 		{"vdpe-size-negative-with-model", "vdpe-size", "-vdpe-size -3 -model default=" + missing, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

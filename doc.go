@@ -45,7 +45,10 @@
 //     a sigma-scaled table of 2^12 normal quantiles (built once per
 //     process), picked by fixed 12-bit fields of the row's keyed noise
 //     words, so a zero count skips nothing and no chunk's error depends
-//     on another's counts; no float and no math/rand on that path. A conv output's DIV and
+//     on another's counts; no float and no math/rand on that path. The
+//     converter holds no row state: a conversion is a pure function of
+//     (row key, chunk index, counts), and the engines walk the chunk
+//     index themselves. A conv output's DIV and
 //     DKV are the paper's full S = K*K*D point vectors, zero-padded at
 //     the borders (internal/mapper, Sec. II-B), so its psum chunk seams
 //     fall where the accelerator's would.
@@ -232,16 +235,23 @@
 //   - Serving integration: sckernel.Engine implements quant.DotEngine
 //     and the layer-tile quant.TileDotter boundary. DotTile range-checks
 //     and digests (core.VecKey) each weight vector and each operand row
-//     of a tile once, then runs one register-tiled kernel on the
-//     analytic count: operand rows packed lane-major, three per uint64 in
-//     21-bit fields (two 32-bit fields, or one, when 2B+1 > 21 or
-//     N*2^B >= 2^21), so one multiply per (lane, weight) gives three
-//     rows' products, a shift and a mask keep each lane's floor, and the
-//     weight's sign mask steers it into the negative count. Each weight
-//     pair passes once over a row group, and the counts come out of
-//     their fields straight into the keyed ADC conversion —
-//     bit-identical to the per-(row, DKV) Dot loop in any order, ADC
-//     error included. It is the one SC engine in production:
+//     of a tile once, then runs a register-tiled kernel on the analytic
+//     count, chosen per tile from what the code can observe: the CPU,
+//     B, N and the tile's own operands. On amd64 with AVX2, a tile with
+//     B <= 8, every lane below 2^B, psum chunk sums below 2^16 and at
+//     least four rows — every tile a served model produces — runs a
+//     SIMD kernel: rows packed 16 per YMM register as uint16 lanes
+//     x<<(16-B), so one VPMULHUW by a broadcast weight magnitude gives
+//     16 rows' exact counts. Every other tile runs the portable kernel:
+//     rows packed lane-major, three per uint64 in 21-bit fields (two
+//     32-bit fields, or one, when 2B+1 > 21 or N*2^B >= 2^21), so one
+//     multiply per (lane, weight) gives three rows' products and a shift
+//     and a mask keep each lane's floor. In both the weight's sign mask
+//     steers a count into the negative sum, each weight pair passes once
+//     over a row group, and the counts go into one conversion loop over
+//     the stateless keyed ADC — bit-identical to the per-(row, DKV) Dot
+//     loop in any order, ADC error included. No flag or setting picks
+//     the kernel. It is the one SC engine in production:
 //     sconnaserve -engine sconna, Table V, the examples and the facade's
 //     SconnaDotEngineFactory all build it, configured like the scalar
 //     factory, so replay stays bit-identical at any pool size.

@@ -59,20 +59,16 @@ const (
 // operands, agree with every batched path; the price is that two
 // conversions of identical operands share one error draw.
 //
-// An ADC carries the state of the row in progress (its noise words and
-// next chunk index), so it belongs to one goroutine at a time, like the
-// engine that holds it. Convert writes that state on every call, so an
-// ADC fills a whole 64-byte cache line: a serving pool builds its
-// engines one after another, and two converters sharing a line while
-// they run on two cores cost up to a quarter of the forward's speed.
+// An ADC is immutable after NewADC and holds no row state: RowWord
+// derives a row's word 0 from its key, ChunkWord a chunk's word from
+// word 0, and Convert maps (word, chunk index, counts) to the estimate,
+// so the caller walks the chunk index. All three inline into the
+// engines' conversion loops, and one ADC may serve any number of
+// goroutines.
 type ADC struct {
 	ideal bool
 	eps   *[adcSize]int32 // sigma-scaled quantile table, Q24
 	seed  uint64
-	word0 uint64 // the row's first noise word
-	word  uint64 // the noise word of the chunk pair in progress
-	chunk int    // the row's next chunk index
-	_     [16]byte
 }
 
 // NewADC builds the converter for cfg. A zero ADCMAPEPct on a noisy
@@ -100,36 +96,42 @@ func NewADC(cfg Config) (*ADC, error) {
 // through and ignores row keys.
 func (a *ADC) Ideal() bool { return a.ideal }
 
-// Start begins the row with key rowKey: its first noise word, at chunk 0.
-func (a *ADC) Start(rowKey uint64) {
-	a.word0 = digest.Mix64(a.seed ^ rowKey)
-	a.word, a.chunk = a.word0, 0
-}
+// RowWord returns word 0 of the row keyed rowKey, the first of the
+// row's noise words. An ideal converter reads none, so callers may skip
+// it (and the row key's digests) there.
+func (a *ADC) RowWord(rowKey uint64) uint64 { return digest.Mix64(a.seed ^ rowKey) }
 
-// StartRow begins the row (div, dkv), keyed by its operands. An ideal
-// converter skips the digest.
-func (a *ADC) StartRow(div, dkv []int) {
-	if !a.ideal {
-		a.Start(RowKey(VecKey(div), VecKey(dkv)))
+// OperandWord returns word 0 of the row (div, dkv), keyed by its
+// operands, or 0 without digesting them when the converter is ideal.
+func (a *ADC) OperandWord(div, dkv []int) uint64 {
+	if a.ideal {
+		return 0
 	}
+	return a.RowWord(RowKey(VecKey(div), VecKey(dkv)))
 }
 
-// Convert converts the current row's next psum chunk's PCA counts into
-// integer product units. Counts must lie in [0, N*2^B].
-func (a *ADC) Convert(pos, neg, scale int) int {
+// ChunkWord returns the noise word psum chunk c of a row reads, given
+// the row's word 0: word 0 itself for chunks 0 and 1, and
+// Mix64(word0 + (c/2)*gamma) after them.
+func ChunkWord(word0 uint64, c int) uint64 {
+	if c < 2 {
+		return word0
+	}
+	return digest.Mix64(word0 + uint64(c>>1)*adcGamma)
+}
+
+// Convert converts the PCA counts of psum chunk c, whose noise word
+// (ChunkWord) is word, into integer product units. Counts must lie in
+// [0, N*2^B].
+func (a *ADC) Convert(word uint64, c, pos, neg, scale int) int {
 	if a.ideal {
 		return (pos - neg) * scale
 	}
-	c := a.chunk
-	a.chunk++
-	if c&1 == 0 && c != 0 {
-		a.word = digest.Mix64(a.word0 + uint64(c>>1)*adcGamma)
-	}
-	f := a.word >> (uint(c&1) * 2 * adcField)
+	f := word >> (uint(c&1) * 2 * adcField)
 	v := int64(pos)*(adcOne+int64(a.eps[f&adcMask])) - int64(neg)*(adcOne+int64(a.eps[f>>adcField&adcMask]))
-	s := v >> 63 // all ones when v < 0: round |v|, then restore the sign
-	r := (((v^s)-s+adcHalf)>>adcFrac ^ s) - s
-	return int(r) * scale
+	// Round half away from zero: floor((v+half)/2^24) for v >= 0, and
+	// floor((v+half-1)/2^24) = -floor((|v|+half)/2^24) for v < 0.
+	return int((v+adcHalf+v>>63)>>adcFrac) * scale
 }
 
 // unitQuantiles is the table of 2^12 unit-normal midpoint quantiles,

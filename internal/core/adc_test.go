@@ -5,11 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
-	"unsafe"
 )
 
 // mustADC builds the converter for cfg or fails the test.
@@ -22,14 +20,9 @@ func mustADC(tb testing.TB, cfg Config) *ADC {
 	return a
 }
 
-// convertAt starts the row key and converts (pos, neg) as its chunk c,
-// the chunks before it reading zero counts.
+// convertAt converts (pos, neg) as chunk c of the row keyed key.
 func convertAt(a *ADC, key uint64, c, pos, neg, scale int) int {
-	a.Start(key)
-	for range c {
-		a.Convert(0, 0, scale)
-	}
-	return a.Convert(pos, neg, scale)
+	return a.Convert(ChunkWord(a.RowWord(key), c), c, pos, neg, scale)
 }
 
 // TestADCStatistics pins the converter model over 4*10^5 keyed
@@ -46,9 +39,8 @@ func TestADCStatistics(t *testing.T) {
 	const count = 1 << 20
 	var sum, sumAbs float64
 	for k := uint64(0); k < rows; k++ {
-		a.Start(k)
-		pos := a.Convert(count, 0, 1)  // chunk 0: the positive PCA's draw
-		neg := -a.Convert(0, count, 1) // chunk 1: the negative PCA's draw
+		pos := convertAt(a, k, 0, count, 0, 1)  // chunk 0: the positive PCA's draw
+		neg := -convertAt(a, k, 1, 0, count, 1) // chunk 1: the negative PCA's draw
 		for _, est := range []int{pos, neg} {
 			rel := float64(est-count) / count
 			sum += rel
@@ -68,16 +60,14 @@ func TestADCStatistics(t *testing.T) {
 }
 
 // TestADCKeyed: a conversion is a pure function of (seed, row key,
-// chunk index, counts) — restarting a row replays it, other keys and
-// other seeds draw differently, a chunk's result does not depend on the
-// counts of the chunks before it (zero or not), and an ideal converter
-// passes the exact count through.
+// chunk index, counts) — converting a row again replays it, in any
+// chunk order, other keys and other seeds draw differently, and an
+// ideal converter passes the exact count through.
 func TestADCKeyed(t *testing.T) {
 	cfg := DefaultConfig()
 	a, b := mustADC(t, cfg), mustADC(t, cfg)
 	row := func(a *ADC, key uint64) [3]int {
-		a.Start(key)
-		return [3]int{a.Convert(5000, 3000, 4), a.Convert(7000, 100, 4), a.Convert(1, 9000, 4)}
+		return [3]int{convertAt(a, key, 0, 5000, 3000, 4), convertAt(a, key, 1, 7000, 100, 4), convertAt(a, key, 2, 1, 9000, 4)}
 	}
 	first := row(a, 42)
 	row(a, 43)
@@ -90,15 +80,10 @@ func TestADCKeyed(t *testing.T) {
 	if row(a, 43) == first {
 		t.Fatal("keys 42 and 43 drew identical noise")
 	}
-	for c, counts := range [][2]int{{5000, 3000}, {7000, 100}, {1, 9000}} {
-		if got := convertAt(a, 42, c, counts[0], counts[1], 4); got != first[c] {
-			t.Fatalf("chunk %d after zero-count chunks: %d, after nonzero ones: %d", c, got, first[c])
+	for c, counts := range [][2]int{{1, 9000}, {7000, 100}, {5000, 3000}} {
+		if got := convertAt(a, 42, 2-c, counts[0], counts[1], 4); got != first[2-c] {
+			t.Fatalf("chunk %d converted out of order: %d, in order: %d", 2-c, got, first[2-c])
 		}
-	}
-	a.Start(42)
-	a.Convert(0, 3000, 4) // chunk 0's positive count now zero
-	if got := a.Convert(7000, 100, 4); got != first[1] {
-		t.Fatalf("chunk 1 after a zero positive count: %d, want %d", got, first[1])
 	}
 	cfg.ADCSeed++
 	if row(mustADC(t, cfg), 42) == first {
@@ -169,15 +154,6 @@ func TestADCRealizationGolden(t *testing.T) {
 	}
 }
 
-// TestADCFillsCacheLine: an ADC is exactly one 64-byte cache line on
-// 64-bit platforms, so converters allocated side by side never share
-// the line their row state is written to.
-func TestADCFillsCacheLine(t *testing.T) {
-	if size := unsafe.Sizeof(ADC{}); bits.UintSize == 64 && size != 64 {
-		t.Fatalf("ADC is %d bytes, want 64", size)
-	}
-}
-
 // TestADCConfigRange: NewADC, and through it NewVDPE and NewVDPC, fail
 // closed on an ADCMAPEPct outside [0, MaxADCMAPEPct] and on a VDPE size
 // whose PCA count could overflow the Q24 product, naming the field, and
@@ -236,8 +212,7 @@ func TestADCConfigRange(t *testing.T) {
 // FuzzConvert: on counts in [0, N*2^B], Convert never panics; an ideal
 // converter returns (pos-neg)*scale; a noisy one lies within
 // (pos+neg)*max|eps| plus one rounding unit of exact, in product units;
-// restarting the row replays it, whatever counts the chunks before
-// carried.
+// converting again, on a second converter, replays it.
 func FuzzConvert(f *testing.F) {
 	f.Add(int64(2023), uint64(0), uint8(7), uint16(63), uint8(0), uint8(0), uint64(300), uint64(200))
 	f.Add(int64(1), uint64(42), uint8(11), uint16(4095), uint8(200), uint8(2), uint64(1<<40), uint64(0))
@@ -253,12 +228,8 @@ func FuzzConvert(f *testing.F) {
 
 		a := mustADC(t, cfg)
 		est := convertAt(a, key, c, p, q, scale)
-		a.Start(key)
-		for range c {
-			a.Convert(q, p, scale) // earlier chunks with other counts
-		}
-		if again := a.Convert(p, q, scale); again != est {
-			t.Fatalf("replay after nonzero chunks %d, first %d", again, est)
+		if again := convertAt(mustADC(t, cfg), key, c, p, q, scale); again != est {
+			t.Fatalf("replay on a second converter %d, first %d", again, est)
 		}
 		if est%scale != 0 {
 			t.Fatalf("estimate %d not a multiple of scale %d", est, scale)
@@ -280,11 +251,14 @@ func FuzzConvert(f *testing.F) {
 	})
 }
 
+// sink keeps BenchmarkADCConvertRows's conversions live.
+var sink int
+
 // BenchmarkADCConvertRows times the keyed conversion alone over the
 // served chunk mix: rows of the served model's three conv tiles (S = 9,
 // 36, 72 lanes on 64-lane VDPEs, so one, one and two psum chunks per
-// row, in the tiles' row proportions 256:64:16 per DKV), each starting
-// its key and converting its chunks' counts. ns/op is per row.
+// row, in the tiles' row proportions 256:64:16 per DKV), each deriving
+// its word 0 and converting its chunks' counts. ns/op is per row.
 func BenchmarkADCConvertRows(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.N, cfg.M, cfg.ADCSeed = 64, 1, 2023
@@ -310,9 +284,9 @@ func BenchmarkADCConvertRows(b *testing.B) {
 	for b.Loop() {
 		r := &rows[i%len(rows)]
 		i++
-		a.Start(r.key)
-		for _, c := range r.counts {
-			a.Convert(c[0], c[1], scale)
+		w := a.RowWord(r.key)
+		for c, n := range r.counts {
+			sink += a.Convert(ChunkWord(w, c), c, n[0], n[1], scale)
 		}
 	}
 }

@@ -181,10 +181,9 @@ func (v *VDPE) dot(div, dkv []int, faults map[int]FaultKind) (SignedResult, erro
 	if err != nil {
 		return SignedResult{}, err
 	}
-	v.adc.StartRow(div, dkv)
 	scale := 1 << uint(v.cfg.Bits)
 	return SignedResult{
-		Est:     v.adc.Convert(pos, neg, scale),
+		Est:     v.adc.Convert(v.adc.OperandWord(div, dkv), 0, pos, neg, scale),
 		Exact:   (pos - neg) * scale,
 		PosOnes: pos,
 		NegOnes: neg,
@@ -294,7 +293,7 @@ func (c *VDPC) DotLarge(input []int, kernel []int) (est, exact, chunks int, err 
 	if len(input) != len(kernel) {
 		return 0, 0, 0, fmt.Errorf("core: vector length mismatch %d vs %d", len(input), len(kernel))
 	}
-	c.adc.StartRow(input, kernel)
+	word := c.adc.OperandWord(input, kernel)
 	n := c.cfg.N
 	scale := 1 << uint(c.cfg.Bits)
 	for off := 0; off < len(input); off += n {
@@ -303,7 +302,7 @@ func (c *VDPC) DotLarge(input []int, kernel []int) (est, exact, chunks int, err 
 		if derr != nil {
 			return 0, 0, 0, derr
 		}
-		est += c.adc.Convert(pos, neg, scale)
+		est += c.adc.Convert(ChunkWord(word, chunks), chunks, pos, neg, scale)
 		exact += (pos - neg) * scale
 		chunks++
 	}

@@ -151,27 +151,29 @@ func tileConfig() core.Config {
 // PackedTile times Engine.DotTile over the served model's three conv
 // tiles (tileShapes) with a noisy ADC: ns/op is one example's conv
 // layers, the kernel and the keyed conversion without the rest of the
-// forward pass. Row lanes are zero with probability 0.4, as a ReLU
-// leaves them.
+// forward pass. Operands span the range quant feeds a served model, so
+// the timed path is the served one: row lanes in [0, 2^B-1], zero with
+// probability 0.4 as a ReLU leaves them, and weights in
+// [-(2^B-1), 2^B-1] (quantizeActs and quantizeSigned clamp to those).
 func PackedTile(b *testing.B) {
 	e, err := sckernel.New(tileConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(11))
-	scale := 1 << smokeBits
+	top := 1<<smokeBits - 1
 	type tile struct{ rows, dkvs, out []int }
 	tiles := make([]tile, len(tileShapes))
 	for t, sh := range tileShapes {
 		rows := make([]int, sh.rows*sh.s)
 		for i := range rows {
 			if rng.Float64() >= 0.4 {
-				rows[i] = rng.Intn(scale + 1)
+				rows[i] = rng.Intn(top + 1)
 			}
 		}
 		dkvs := make([]int, sh.dkvs*sh.s)
 		for i := range dkvs {
-			dkvs[i] = rng.Intn(2*scale+1) - scale
+			dkvs[i] = rng.Intn(2*top+1) - top
 		}
 		tiles[t] = tile{rows, dkvs, make([]int, sh.rows*sh.dkvs)}
 	}

@@ -13,12 +13,29 @@
 // computes the closed form and simulates no stream.
 //
 // Engine is the one SC engine in production (serving, Table V, the
-// examples). Its layer-tile kernel, DotTile, packs three operand rows
-// per uint64 in 21-bit fields (two 32-bit fields, or one, when the
-// precision or the VDPE size needs wider ones), so one multiply by a
-// weight yields three rows' lane products — the software analogue of
-// SCONNA packing many OSM products onto one VDPE by DWDM. Its per-vector
-// Dot counts each psum chunk with one multiply and shift per lane.
+// examples). Its layer-tile entry point, DotTile, counts many operand
+// rows per multiply — the software analogue of SCONNA multiplying N
+// lanes at once on N DWDM wavelengths — on one of two kernels:
+//
+//   - On amd64 with AVX2 (CPUID and XGETBV, read once per process), a
+//     SIMD kernel counts 16 rows per YMM register: rows packed as uint16
+//     lanes x<<(16-B), one VPMULHUW by a broadcast weight magnitude
+//     yields every row's exact count floor(x*w/2^B). DotTile takes it
+//     when the tile allows it: B <= 8, every operand lane below 2^B (an
+//     OR taken while packing), a psum chunk's count sum below 2^16
+//     (min(N, S)*floor((2^B-1)^2/2^B) < 2^16), and at least simdMinRows
+//     rows. Every tile quant produces for a served model qualifies: its
+//     quantizers clamp to +-(2^B-1) and quant.MaxBits is 8.
+//   - Everywhere else — other GOARCHes, no AVX2, B > 8, a lane at 2^B,
+//     out-of-range operands (which panic), small tiles — the portable
+//     kernel packs three rows per uint64 in 21-bit fields (two 32-bit
+//     fields, or one, when the precision or the VDPE size needs wider
+//     ones), so one multiply by a weight yields three rows' products.
+//
+// No flag, option or environment variable selects the kernel; both
+// produce the same counts, and both feed one conversion loop over the
+// stateless core.ADC. The per-vector Dot counts each psum chunk with
+// one multiply and shift per lane.
 //
 // The contract is bitwise pinning, the same pattern as ForwardNaive vs
 // the GEMM lowering: every kernel here must produce exactly the counts
@@ -41,6 +58,18 @@ import (
 // maxBits is the highest operand precision New accepts, the core's own
 // limit.
 const maxBits = 12
+
+// useSIMD lets DotTile run the SIMD kernel where the CPU has one
+// (haveAVX2); in-package tests clear it to pin the portable kernel.
+var useSIMD = haveAVX2
+
+// simdMinRows is the fewest rows a tile needs to take the SIMD kernel.
+// Measured on the served conv shapes (S = 9, 36, 72 against 4, 8, 16
+// DKVs, quantizer-range operands, 2-vCPU Xeon): at 1 to 3 rows the two
+// kernels are within noise of each other, and from 4 rows the SIMD
+// kernel is faster on all three shapes; at 16 rows it takes 1.5-1.9x
+// less time.
+const simdMinRows = 4
 
 // signShift arithmetic-shifts an int down to its sign word (-1 or 0).
 const signShift = bits.UintSize - 1
