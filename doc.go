@@ -137,8 +137,13 @@
 //
 //   - Scratch ownership: float im2col buffers are layer-local (layer
 //     instances are single-goroutine by contract); integer gather
-//     buffers live in a quant.BatchScratch owned one-per-engine,
-//     mirroring the engine-per-shard rule of EvaluateParallel.
+//     buffers and the quantized plane's layer outputs live in a
+//     quant.BatchScratch owned one-per-engine, mirroring the
+//     engine-per-shard rule of EvaluateParallel. Layer outputs ping-pong
+//     between its two activation arenas, grown to the largest batch
+//     served, so a warm ForwardBatch allocates only the returned logits:
+//     one fresh slab that never aliases the scratch, which the serving
+//     plane reads after returning the engine to its pool.
 //
 //   - Data-parallel training: nn.TrainParallel partitions each
 //     minibatch into fixed nn.TrainShardSize example shards, runs each

@@ -9,22 +9,29 @@ import (
 )
 
 // BatchScratch holds the reusable buffers of a quantized inference
-// stream: the current example's quantized activations, the operand block
-// of its current layer and the engine results for that block, and the
-// sparse path's buffers. The lowering runs a micro-batch example by
-// example through each conv layer, so every buffer is bounded by one
-// example, not by the batch (the dense layer's block holds one row per
-// example).
+// stream: the micro-batch's activations between layers, the current
+// example's quantized activations, the operand block of its current
+// layer and the engine results for that block, and the sparse path's
+// buffers. The lowering runs a micro-batch example by example through
+// each conv layer, so every integer buffer is bounded by one example,
+// not by the batch (the dense layer's block holds one row per example);
+// the two activation arenas hold the whole batch and grow to the
+// largest batch served.
 //
 // A BatchScratch belongs to one goroutine at a time, like the engine it
 // serves. The serving plane pairs one with each pooled engine;
 // EvaluateParallel keeps one per shard.
 type BatchScratch struct {
+	// act are the ping-pong activation arenas: a layer reads the batch
+	// from one and writes its output to the other, example e of size m
+	// at [e*m:(e+1)*m].
+	act   [2][]float32
+	shape []int // the current activations' per-example shape
+
 	qx   []int // the current example's quantized activations
 	pad  []int // qx with a zero border
 	rows []int // operand block of the current (example, layer): one row per output pixel
 	acc  []int // engine results for the block, [DKV][row]
-	xs   []*tensor.T
 
 	// The sparse path's buffers (see sparseForward): per input channel
 	// its weights by (kernel tap, output channel), one activation's
@@ -43,6 +50,15 @@ type BatchScratch struct {
 // use and are retained across calls.
 func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
 
+// arena returns activation arena i with n elements, reallocating only
+// when its capacity is short. Contents are unspecified.
+func (bs *BatchScratch) arena(i, n int) []float32 {
+	if cap(bs.act[i]) < n {
+		bs.act[i] = make([]float32, n)
+	}
+	return bs.act[i][:n]
+}
+
 // Forward runs quantized inference on x through engine and returns float
 // logits: a one-example ForwardBatch with a private scratch. Repeated
 // inference should call ForwardBatch with a reused BatchScratch to
@@ -53,8 +69,10 @@ func (q *Network) Forward(x *tensor.T, engine DotEngine) *tensor.T {
 
 // ForwardBatch runs quantized inference over a micro-batch of examples,
 // which must all share one input shape, on one engine (engines must hold
-// exactly one). It returns one fresh logits tensor per example. It is
-// the package's one lowering; ForwardNaive is its independent reference.
+// exactly one). It returns one logits tensor per example, all in one
+// fresh slab that never aliases s or the inputs, so the caller may read
+// them after handing s (and its engine) to another goroutine. It is the
+// package's one lowering; ForwardNaive is its independent reference.
 //
 // Every engine computes each dot as a pure function of its operands (a
 // noisy ADC keys its error by them), and each example's operand vectors
@@ -69,11 +87,22 @@ func (q *Network) Forward(x *tensor.T, engine DotEngine) *tensor.T {
 // channel's weight row as stored: a single DotTile call on a TileDotter
 // (one per channel for a depthwise conv, whose rows differ per channel),
 // otherwise one Dot per (row, weight row). A dense layer is one product
-// over the whole batch, one row per example. A ReLU right after a conv
-// or dense layer is applied in that layer's epilogue. The engine-free
-// layers run through inference-only kernels (poolHalf, gapPool, in-place
-// ReLU on internally produced tensors) that are bit-identical to the nn
-// training layers ForwardNaive keeps.
+// over the whole batch, one row per example.
+//
+// The epilogue works on the integer accumulators. A ReLU right after a
+// conv or dense layer is applied as each output is dequantized. A conv,
+// ReLU and 2x2 max pool whose pooled output feeds a quantizer (the next
+// conv or dense layer) or a global average pool takes the max of each
+// window's four accumulators and dequantizes once per pooled output:
+// dequantization with positive finite scales and a finite bias, the
+// ReLU and the next quantizer are all non-decreasing, so only the sign
+// of a zero can differ from pooling the dequantized values, and neither
+// a quantizer nor a GAP sum can see it. The other engine-free layers run
+// through inference-only kernels (poolHalf, gapPool, in-place ReLU)
+// that are bit-identical to the nn training layers ForwardNaive keeps.
+//
+// Layer outputs live in s's two activation arenas, so a warm
+// ForwardBatch allocates only the returned logits.
 func (q *Network) ForwardBatch(xs []*tensor.T, engines []DotEngine, s *BatchScratch) []*tensor.T {
 	if len(xs) == 0 {
 		return nil
@@ -91,57 +120,119 @@ func (q *Network) ForwardBatch(xs []*tensor.T, engines []DotEngine, s *BatchScra
 	}
 	d := newDotter(engines[0])
 	qmax := int(1)<<uint(q.Bits) - 1
-	if cap(s.xs) < len(xs) {
-		s.xs = make([]*tensor.T, len(xs))
+	n := len(xs)
+	shape := append(s.shape[:0], xs[0].Shape...) // one example's shape
+	m := len(xs[0].Data)                         // one example's size
+	a := 0                                       // the arena holding cur
+	cur := s.arena(a, n*m)
+	for e, x := range xs {
+		copy(cur[e*m:(e+1)*m], x.Data)
 	}
-	cur := s.xs[:len(xs)]
-	copy(cur, xs)
-	owned := false // whether cur holds our tensors (not the caller's inputs)
 	for li := 0; li < len(q.layers); li++ {
 		l := q.layers[li]
-		// A ReLU right after an engine layer runs in its epilogue.
+		// A ReLU right after an engine layer runs in its epilogue, and
+		// so may the pool after that.
 		relu := (l.conv != nil || l.dense != nil) && li+1 < len(q.layers) && q.layers[li+1].relu
+		pool := relu && l.conv != nil && q.poolFeedsQuantizer(li+2)
+		var next []float32
 		switch {
 		case l.conv != nil:
-			l.conv.forwardBatch(cur, d, qmax, relu, s, li)
+			c := l.conv
+			h, w := shape[1], shape[2]
+			oh, ow := (h+2*c.Pad-c.K)/c.Stride+1, (w+2*c.Pad-c.K)/c.Stride+1
+			shape = append(shape[:0], c.OutC, oh, ow)
+			if pool {
+				shape = poolShape(shape)
+			}
+			next = s.arena(1-a, n*c.OutC*shape[1]*shape[2])
+			c.forwardBatch(cur, next, n, h, w, d, qmax, relu, pool, s, li)
+			if relu {
+				recordElt(s.Ops, li+1, reluOps(n*c.OutC*oh*ow))
+			}
 		case l.dense != nil:
-			l.dense.forwardBatch(cur, d, qmax, relu, s, li)
+			shape = append(shape[:0], l.dense.Out)
+			next = s.arena(1-a, n*l.dense.Out)
+			l.dense.forwardBatch(cur, next, n, d, qmax, relu, s, li)
+			if relu {
+				recordElt(s.Ops, li+1, reluOps(len(next)))
+			}
 		case l.relu:
-			for e, x := range cur {
-				if !owned {
-					x = x.Clone()
-					cur[e] = x
-				}
-				reluInPlace(x)
-			}
-			recordElt(s.Ops, li, reluOps(len(cur)*cur[0].Len()))
+			reluInPlace(cur)
+			recordElt(s.Ops, li, reluOps(len(cur)))
+			continue
 		case l.pool:
-			for e, x := range cur {
-				cur[e] = poolHalf(x)
+			c, h, w := shape[0], shape[1], shape[2]
+			shape = poolShape(shape)
+			mo := c * shape[1] * shape[2]
+			next = s.arena(1-a, n*mo)
+			for e := range n {
+				poolHalf(cur[e*m:(e+1)*m], next[e*mo:(e+1)*mo], c, h, w)
 			}
-			recordElt(s.Ops, li, poolOps(len(cur)*cur[0].Len()))
+			recordElt(s.Ops, li, poolOps(len(next)))
 		case l.gap:
-			hw := cur[0].Shape[1] * cur[0].Shape[2]
-			for e, x := range cur {
-				cur[e] = gapPool(x)
+			c, hw := shape[0], shape[1]*shape[2]
+			shape = shape[:1]
+			next = s.arena(1-a, n*c)
+			for e := range n {
+				gapPool(cur[e*m:(e+1)*m], next[e*c:(e+1)*c])
 			}
-			recordElt(s.Ops, li, gapOps(len(cur)*cur[0].Len(), hw))
+			recordElt(s.Ops, li, gapOps(len(next), hw))
 		case l.flat:
-			for e, x := range cur {
-				cur[e] = x.Reshape(x.Len()) // aliases: ownership carries
-			}
+			shape = append(shape[:0], m)
 			continue
 		}
-		owned = true
+		cur, a, m = next, 1-a, len(next)/n
 		if relu {
 			li++
-			recordElt(s.Ops, li, reluOps(len(cur)*cur[0].Len()))
+		}
+		if pool {
+			li++
+			recordElt(s.Ops, li, poolOps(len(next)))
 		}
 	}
-	out := make([]*tensor.T, len(cur))
-	copy(out, cur)
-	for i := range cur {
-		cur[i] = nil // don't pin the returned logits to the scratch
+	s.shape = shape
+	return logits(cur, shape, n)
+}
+
+// poolFeedsQuantizer reports whether layer li is a 2x2 max pool whose
+// output, past any flatten, reaches a conv, dense or global average
+// pool layer, none of which can tell a -0 from a +0 in its input.
+func (q *Network) poolFeedsQuantizer(li int) bool {
+	if li >= len(q.layers) || !q.layers[li].pool {
+		return false
+	}
+	for _, l := range q.layers[li+1:] {
+		if !l.flat {
+			return l.conv != nil || l.dense != nil || l.gap
+		}
+	}
+	return false
+}
+
+// poolShape is the CxHxW shape after a 2x2 stride-2 pool, which needs
+// at least a 2x2 plane.
+func poolShape(shape []int) []int {
+	if len(shape) != 3 || shape[1] < 2 || shape[2] < 2 {
+		panic(fmt.Sprintf("quant: 2x2 pool over shape %v", shape))
+	}
+	shape[1], shape[2] = shape[1]/2, shape[2]/2
+	return shape
+}
+
+// logits copies the n examples of the given shape in act into one fresh
+// slab and returns a tensor per example over it: four allocations
+// however large the batch.
+func logits(act []float32, shape []int, n int) []*tensor.T {
+	m, r := len(act)/n, len(shape)
+	data := append([]float32(nil), act...)
+	shapes := make([]int, n*r)
+	ts := make([]tensor.T, n)
+	out := make([]*tensor.T, n)
+	for e := range out {
+		sh := shapes[e*r : (e+1)*r : (e+1)*r]
+		copy(sh, shape)
+		ts[e] = tensor.T{Shape: sh, Data: data[e*m : (e+1)*m : (e+1)*m]}
+		out[e] = &ts[e]
 	}
 	return out
 }
@@ -201,23 +292,24 @@ func dequant(acc int, inScale, wScale, bias float32, relu bool) float32 {
 	return v
 }
 
-// forwardBatch runs the lowered quantized convolution over a batch,
-// example by example. Each example's input is quantized once; on the
-// dense path its full-window operand block is built once per layer (per
-// channel for a depthwise conv) and goes to the engine against every
-// output channel's weight row as stored — the DKV of a full window is
-// its weight row, so nothing is gathered — and the engine results are
-// dequantized, with a fused ReLU when relu is set, into the example's
-// output. The operand vectors are exactly ForwardNaive's.
+// forwardBatch runs the lowered quantized convolution over the n
+// examples of InC x h x w in src, example by example, writing each
+// example's output to its slot of dst. Each example's input is quantized
+// once; on the dense path its full-window operand block is built once
+// per layer (per channel for a depthwise conv) and goes to the engine
+// against every output channel's weight row as stored — the DKV of a
+// full window is its weight row, so nothing is gathered. The operand
+// vectors are exactly ForwardNaive's. The epilogue dequantizes the
+// engine results, with a fused ReLU when relu is set and a fused 2x2
+// max pool on the accumulators when pool is set.
 //
 // Sparsity gating is per example: on an engine that opts in
 // (ZeroSkipper), an example whose quantized input clears worthSparse
 // runs the input-stationary compacted path, sparseForward — bit-exact
 // by the ZeroSkipper contract. Engines that do not opt in always see
 // the dense operand vectors.
-func (c *QConv2D) forwardBatch(xs []*tensor.T, d dotter, qmax int, relu bool, bs *BatchScratch, li int) {
-	h, w := xs[0].Shape[1], xs[0].Shape[2]
-	nin := len(xs[0].Data)
+func (c *QConv2D) forwardBatch(src, dst []float32, n, h, w int, d dotter, qmax int, relu, pool bool, bs *BatchScratch, li int) {
+	nin, nout := len(src)/n, len(dst)/n
 	pos := matmul.Positions(h, w, c.K, c.Stride, c.Pad)
 	npix := pos.NumPix()
 	k2 := c.K * c.K
@@ -231,13 +323,13 @@ func (c *QConv2D) forwardBatch(xs []*tensor.T, d dotter, qmax int, relu bool, bs
 	bs.rows = growInts(bs.rows, npix*ksz)
 	bs.acc = growInts(bs.acc, c.OutC*npix)
 	nDense, nSparse, nnzSparse := 0, 0, 0
-	for e, x := range xs {
-		bs.qx = quantizeActs(bs.qx, x.Data, c.InScale, qmax)
-		out := tensor.New(c.OutC, pos.OutH, pos.OutW)
-		xs[e] = out // the input is spent once quantized
+	for e := range n {
+		bs.qx = quantizeActs(bs.qx, src[e*nin:(e+1)*nin], c.InScale, qmax)
+		out := dst[e*nout : (e+1)*nout]
 		if d.skips && worthSparse(bs.qx) {
 			nSparse++
-			nnzSparse += c.sparseForward(d, bs, out.Data, groups, h, w, relu)
+			nnzSparse += c.sparseForward(d, bs, groups, h, w)
+			c.epilogue(bs.acc, gout, pos.OutH, pos.OutW, relu, pool, out)
 			continue
 		}
 		nDense++
@@ -247,14 +339,7 @@ func (c *QConv2D) forwardBatch(xs []*tensor.T, d dotter, qmax int, relu bool, bs
 			c.im2col(bs.rows, planes[g*gin*phw:(g+1)*gin*phw], gin, w+2*c.Pad, pos.OutH, pos.OutW)
 			d.dotTile(bs.rows, c.W[g*gout*ksz:(g+1)*gout*ksz], ksz, bs.acc[g*gout*npix:(g+1)*gout*npix])
 		}
-		inScale, wScale := c.InScale, c.WScale
-		for oc, bias := range c.Bias {
-			acc, dst := bs.acc[oc*npix:(oc+1)*npix], out.Data[oc*npix:(oc+1)*npix]
-			dst = dst[:len(acc)]
-			for pix, a := range acc {
-				dst[pix] = dequant(a, inScale, wScale, bias, relu)
-			}
-		}
+		c.epilogue(bs.acc, 1, pos.OutH, pos.OutW, relu, pool, out)
 	}
 	if bs.Ops != nil {
 		if nDense > 0 {
@@ -262,6 +347,45 @@ func (c *QConv2D) forwardBatch(xs []*tensor.T, d dotter, qmax int, relu bool, bs
 		}
 		if nSparse > 0 {
 			c.recordOps(bs.Ops, li, uint64(pos.NumOffs()), nin, npix, nSparse, nnzSparse)
+		}
+	}
+}
+
+// epilogue dequantizes one example's oh x ow accumulators per output
+// channel into out, with a fused ReLU when relu is set. Channel oc's
+// accumulator for pixel p sits at acc[(oc/ps)*npix*ps + oc%ps + p*ps]:
+// ps = 1 is the dense path's [channel][pixel] layout, ps = gout the
+// sparse path's [group][pixel][channel in group]. When pool is set,
+// out holds the (oh/2) x (ow/2) 2x2 max pool instead, taken on the
+// integers: each window's largest accumulator is dequantized once.
+func (c *QConv2D) epilogue(acc []int, ps, oh, ow int, relu, pool bool, out []float32) {
+	npix := oh * ow
+	inScale, wScale := c.InScale, c.WScale
+	if !pool {
+		for oc, bias := range c.Bias {
+			a, dst := acc[(oc/ps)*npix*ps+oc%ps:], out[oc*npix:(oc+1)*npix]
+			if ps == 1 {
+				for p, v := range a[:npix] {
+					dst[p] = dequant(v, inScale, wScale, bias, relu)
+				}
+				continue
+			}
+			for p := range dst {
+				dst[p] = dequant(a[p*ps], inScale, wScale, bias, relu)
+			}
+		}
+		return
+	}
+	ph, pw := oh/2, ow/2
+	for oc, bias := range c.Bias {
+		a, dst := acc[(oc/ps)*npix*ps+oc%ps:], out[oc*ph*pw:(oc+1)*ph*pw]
+		for y := range ph {
+			r0, r1 := a[2*y*ow*ps:], a[(2*y+1)*ow*ps:]
+			for x, o := 0, dst[y*pw:(y+1)*pw]; x < pw; x++ {
+				i := 2 * x * ps
+				v := max(r0[i], r0[i+ps], r1[i], r1[i+ps])
+				o[x] = dequant(v, inScale, wScale, bias, relu)
+			}
 		}
 	}
 }
@@ -326,7 +450,7 @@ func (c *QConv2D) im2col(rows, planes []int, inC, pw, oh, ow int) {
 // The DKVs run (ky, kx) with kx reversed, so at stride 1 the taps one
 // activation meets along an output row are consecutive, like the row's
 // pixels, and each output row takes one add loop.
-func (c *QConv2D) sparseForward(d dotter, bs *BatchScratch, out []float32, groups, h, w int, relu bool) int {
+func (c *QConv2D) sparseForward(d dotter, bs *BatchScratch, groups, h, w int) int {
 	k, k2 := c.K, c.K*c.K
 	gin, gout := c.InC/groups, c.OutC/groups
 	oh, ow := (h+2*c.Pad-k)/c.Stride+1, (w+2*c.Pad-k)/c.Stride+1
@@ -381,13 +505,6 @@ func (c *QConv2D) sparseForward(d dotter, bs *BatchScratch, out []float32, group
 			}
 		}
 	}
-	inScale, wScale := c.InScale, c.WScale
-	for oc, bias := range c.Bias {
-		g, j := oc/gout, oc%gout
-		for pix := 0; pix < npix; pix++ {
-			out[oc*npix+pix] = dequant(acc[(g*npix+pix)*gout+j], inScale, wScale, bias, relu)
-		}
-	}
 	return nnz
 }
 
@@ -419,25 +536,21 @@ func (c *QConv2D) reach(span []int, on int) []int {
 	return span
 }
 
-// forwardBatch quantizes every example's input into one block of rows
-// and runs it against every output's weight row in one engine product.
-func (dl *QDense) forwardBatch(xs []*tensor.T, d dotter, qmax int, relu bool, bs *BatchScratch, li int) {
-	dl.recordOps(bs.Ops, li, len(xs))
-	n := len(xs)
-	bs.rows = growInts(bs.rows, n*dl.In)
-	rows := bs.rows[:n*dl.In]
-	for e, x := range xs {
-		if len(x.Data) != dl.In {
-			panic(fmt.Sprintf("quant: dense layer input length %d, want %d", len(x.Data), dl.In))
-		}
-		quantizeActs(rows[e*dl.In:(e+1)*dl.In], x.Data, dl.InScale, qmax)
-		xs[e] = tensor.New(dl.Out)
+// forwardBatch quantizes every example of src into one block of rows,
+// runs it against every output's weight row in one engine product and
+// dequantizes the results into dst, [example][output].
+func (dl *QDense) forwardBatch(src, dst []float32, n int, d dotter, qmax int, relu bool, bs *BatchScratch, li int) {
+	dl.recordOps(bs.Ops, li, n)
+	if len(src) != n*dl.In {
+		panic(fmt.Sprintf("quant: dense layer input length %d, want %d", len(src)/n, dl.In))
 	}
+	rows := quantizeActs(bs.rows, src, dl.InScale, qmax)
+	bs.rows = rows
 	bs.acc = growInts(bs.acc, dl.Out*n)
 	d.dotTile(rows, dl.W, dl.In, bs.acc)
-	for o := 0; o < dl.Out; o++ {
+	for o, bias := range dl.Bias {
 		for e, a := range bs.acc[o*n : (o+1)*n] {
-			xs[e].Data[o] = dequant(a, dl.InScale, dl.WScale, dl.Bias[o], relu)
+			dst[e*dl.Out+o] = dequant(a, dl.InScale, dl.WScale, bias, relu)
 		}
 	}
 }

@@ -237,7 +237,9 @@ func maxAbsOfParam(t *tensor.T) float32 { return t.MaxAbs() }
 
 // Quantize converts a trained float network into a quantized one with
 // operand precision bits, calibrating per-layer activation scales over the
-// calibration examples (max-abs calibration).
+// calibration examples (max-abs calibration). It checks each conv and
+// dense layer as Load does, so it fails, naming the layer, where a scale
+// calibrates outside (0, +Inf) or a bias is not finite.
 func Quantize(src *nn.Network, bits int, calibration []nn.Example) (*Network, error) {
 	if bits < MinBits || bits > MaxBits {
 		return nil, fmt.Errorf("quant: unsupported precision %d", bits)
@@ -279,6 +281,9 @@ func Quantize(src *nn.Network, bits int, calibration []nn.Example) (*Network, er
 				WScale:    wScale,
 				InScale:   maxIn[li] / qmax,
 			}
+			if err := validateConv(qc, int(qmax)); err != nil {
+				return nil, fmt.Errorf("quant: layer %d (%s): %w", li, kindConv, err)
+			}
 			qn.layers = append(qn.layers, qlayer{conv: qc})
 		case *nn.Dense:
 			wScale := maxAbsOfParam(v.Wt.W) / qmax
@@ -291,6 +296,9 @@ func Quantize(src *nn.Network, bits int, calibration []nn.Example) (*Network, er
 				Bias:    append([]float32(nil), v.Bias.W.Data...),
 				WScale:  wScale,
 				InScale: maxIn[li] / qmax,
+			}
+			if err := validateDense(qd, int(qmax)); err != nil {
+				return nil, fmt.Errorf("quant: layer %d (%s): %w", li, kindDense, err)
 			}
 			qn.layers = append(qn.layers, qlayer{dense: qd})
 		case *nn.ReLU:
@@ -323,20 +331,25 @@ func quantizeSigned(w []float32, scale float32, qmax int) []int {
 	return out
 }
 
-// quantizeActs converts activations to unsigned integers in [0, qmax];
-// negative values clamp to zero (activations are post-ReLU by contract).
-// dst is reused when its capacity suffices.
+// quantizeActs converts activations to unsigned integers in [0, qmax]:
+// v/scale rounded half away from zero, clamped. Negative values and NaN
+// clamp to zero (activations are post-ReLU by contract), and values past
+// qmax, however large, to qmax. Clamping before rounding keeps
+// int(f+0.5) exact (f+0.5 is exact in float64 for a float32 f in
+// [0, qmax]), so the result equals math.Round's wherever that fits an
+// int. dst is reused when its capacity suffices.
 func quantizeActs(dst []int, x []float32, scale float32, qmax int) []int {
 	dst = growInts(dst, len(x))
+	top := float64(qmax)
 	for i, v := range x {
-		q := int(math.Round(float64(v / scale)))
-		if q < 0 {
-			q = 0
+		f := float64(v / scale)
+		if !(f > 0) {
+			f = 0
 		}
-		if q > qmax {
-			q = qmax
+		if f > top {
+			f = top
 		}
-		dst[i] = q
+		dst[i] = int(f + 0.5)
 	}
 	return dst
 }
@@ -350,26 +363,26 @@ func growInts(buf []int, n int) []int {
 	return buf[:n]
 }
 
-func reluInPlace(x *tensor.T) {
-	for i, v := range x.Data {
+// reluInPlace zeroes the values of x below zero (-0 stays -0).
+func reluInPlace(x []float32) {
+	for i, v := range x {
 		if v < 0 {
-			x.Data[i] = 0
+			x[i] = 0
 		}
 	}
 }
 
-// poolHalf is the 2x2 stride-2 max pool of nn.MaxPool2 restricted to
-// inference: same comparisons on the same values (bit-identical output),
-// direct indexing, no argmax state.
-func poolHalf(x *tensor.T) *tensor.T {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+// poolHalf writes to out the 2x2 stride-2 max pool of the c x h x w
+// planes in x: nn.MaxPool2 restricted to inference, with the same
+// comparisons on the same values (bit-identical output), direct
+// indexing and no argmax state.
+func poolHalf(x, out []float32, c, h, w int) {
 	oh, ow := h/2, w/2
-	out := tensor.New(c, oh, ow)
 	for ch := 0; ch < c; ch++ {
 		for oy := 0; oy < oh; oy++ {
-			r0 := x.Data[(ch*h+oy*2)*w:]
-			r1 := x.Data[(ch*h+oy*2+1)*w:]
-			orow := out.Data[(ch*oh+oy)*ow:]
+			r0 := x[(ch*h+oy*2)*w:]
+			r1 := x[(ch*h+oy*2+1)*w:]
+			orow := out[(ch*oh+oy)*ow:]
 			for ox := 0; ox < ow; ox++ {
 				bv := r0[ox*2]
 				if v := r0[ox*2+1]; v > bv {
@@ -385,22 +398,20 @@ func poolHalf(x *tensor.T) *tensor.T {
 			}
 		}
 	}
-	return out
 }
 
-// gapPool is nn.GlobalAvgPool restricted to inference: identical
+// gapPool writes to out the global average of each of the len(out)
+// planes in x: nn.GlobalAvgPool restricted to inference, with identical
 // accumulation order, so the float result is bit-identical.
-func gapPool(x *tensor.T) *tensor.T {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := tensor.New(c)
-	for ch := 0; ch < c; ch++ {
+func gapPool(x, out []float32) {
+	hw := len(x) / len(out)
+	for ch := range out {
 		var s float32
-		for _, v := range x.Data[ch*h*w : (ch+1)*h*w] {
+		for _, v := range x[ch*hw : (ch+1)*hw] {
 			s += v
 		}
-		out.Data[ch] = s / float32(h*w)
+		out[ch] = s / float32(hw)
 	}
-	return out
 }
 
 // ForwardNaive runs quantized inference through the reference

@@ -83,9 +83,13 @@ func TestExactDotRowsMatchesDot(t *testing.T) {
 }
 
 // rowNets builds the networks the tile-boundary tests sweep: the small
-// and depthwise CNNs (padded windows, standard and depthwise grouping)
-// and a network whose convolutions never reach into padding (pad-0 3x3
-// and 1x1).
+// and depthwise CNNs (padded windows, standard and depthwise grouping),
+// a network whose convolutions never reach into padding (pad-0 3x3 and
+// 1x1), and three around the pooled epilogue: pools over odd extents
+// (14x14 -> 7x7 -> 3x3, the last into a dense layer through a flatten),
+// a standard and a depthwise stride-2 conv each before a pool, and a
+// network that ends in a pool over an odd extent (7x7), which the
+// epilogue leaves to the float pool since no quantizer follows it.
 func rowNets(t testing.TB) map[string]*quant.Network {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
@@ -97,12 +101,43 @@ func rowNets(t testing.TB) map[string]*quant.Network {
 		&nn.GlobalAvgPool{},
 		nn.NewDense("fc", 6, 3, rng),
 	}}
+	oddPool := &nn.Network{Layers: []nn.Layer{
+		nn.NewConv2D("c1", 1, 4, 3, 1, 0, false, rng), // 14x14
+		&nn.ReLU{},
+		&nn.MaxPool2{}, // 7x7
+		nn.NewConv2D("c2", 4, 6, 3, 1, 1, false, rng),
+		&nn.ReLU{},
+		&nn.MaxPool2{}, // 3x3
+		&nn.Flatten{},
+		nn.NewDense("fc", 6*3*3, 3, rng),
+	}}
+	stridePool := &nn.Network{Layers: []nn.Layer{
+		nn.NewConv2D("c1", 1, 4, 3, 2, 1, false, rng), // 8x8
+		&nn.ReLU{},
+		&nn.MaxPool2{}, // 4x4
+		nn.NewConv2D("dw", 4, 4, 3, 2, 1, true, rng), // 2x2
+		&nn.ReLU{},
+		&nn.MaxPool2{}, // 1x1
+		&nn.GlobalAvgPool{},
+		nn.NewDense("fc", 4, 3, rng),
+	}}
+	poolLast := &nn.Network{Layers: []nn.Layer{
+		nn.NewConv2D("c1", 1, 3, 3, 1, 1, false, rng),
+		&nn.ReLU{},
+		&nn.MaxPool2{}, // 8x8
+		nn.NewConv2D("c2", 3, 2, 2, 1, 0, false, rng), // 7x7
+		&nn.ReLU{},
+		&nn.MaxPool2{}, // 3x3: the logits
+	}}
 	calib := []nn.Example{{X: rowInputs(1, 0, 3)[0]}}
 	out := make(map[string]*quant.Network)
 	for name, net := range map[string]*nn.Network{
-		"small":     nn.BuildSmallCNN(4, 8, 1),
-		"depthwise": nn.BuildDepthwiseCNN(4, 8, 2),
-		"full":      full,
+		"small":       nn.BuildSmallCNN(4, 8, 1),
+		"depthwise":   nn.BuildDepthwiseCNN(4, 8, 2),
+		"full":        full,
+		"odd-pool":    oddPool,
+		"stride-pool": stridePool,
+		"pool-last":   poolLast,
 	} {
 		qn, err := quant.Quantize(net, 8, calib)
 		if err != nil {
@@ -292,13 +327,58 @@ func TestForwardBatchMatchesTruncatedReference(t *testing.T) {
 	}
 }
 
-// BenchmarkQuantForwardBatch times one 32-input micro-batch of the
-// served model — sconnaserve's in-process recipe: the width-4 small CNN
+// TestForwardBatchRowNetsMatchNaive: on every rowNets geometry,
+// ForwardBatch equals ForwardNaive bit for bit on the exact engine and
+// the packed SC engine with an ideal and a noisy ADC, over a batch
+// whose every other example is sparse enough to take the compacted
+// path on the zero-skipping engines (checked through the op tally of
+// the first conv layer).
+func TestForwardBatchRowNetsMatchNaive(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Bits = 8
+	cfg.N = 16
+	cfg.M = 1
+	cfg.ADCSeed = 31
+	packed := func(ideal bool) func() (quant.DotEngine, error) {
+		return func() (quant.DotEngine, error) {
+			c := cfg
+			c.IdealADC = ideal
+			return sckernel.New(c)
+		}
+	}
+	builds := map[string]func() (quant.DotEngine, error){
+		"exact":        func() (quant.DotEngine, error) { return quant.ExactEngine{}, nil },
+		"packed-ideal": packed(true),
+		"packed-noisy": packed(false),
+	}
+	xs := rowInputs(5, 2, 43)
+	for name, qn := range rowNets(t) {
+		for ename, build := range builds {
+			eng, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := quant.NewBatchScratch()
+			s.Ops = qn.OpRecorder()
+			got := qn.ForwardBatch(xs, []quant.DotEngine{eng}, s)
+			for i, x := range xs {
+				want := qn.ForwardNaive(x, eng)
+				assertLogitsBitIdentical(t, fmt.Sprintf("%s/%s input %d", name, ename, i), got[i:i+1], []*tensor.T{want})
+			}
+			c1 := s.Ops.Snapshot().Layers[0]
+			if sparse := c1.Exec.Total() < c1.Dense.Total(); sparse != (ename != "packed-noisy") {
+				t.Fatalf("%s/%s: first conv executed %d of %d dense ops: sparse path taken = %v", name, ename, c1.Exec.Total(), c1.Dense.Total(), sparse)
+			}
+		}
+	}
+}
+
+// servedNet is sconnaserve's in-process model — the width-4 small CNN
 // trained on 192 dataset images for 4 epochs, quantized at 8 bits —
-// through ForwardBatch on one shared engine: the exact and packed-SC
-// engines through the DotTile boundary, and each behind a Dot-only
-// wrapper (the per-call path) for comparison. ns/op is per batch.
-func BenchmarkQuantForwardBatch(b *testing.B) {
+// with a 32-input micro-batch of dataset images and the served SC
+// engine (8-bit, N = 64, M = 1, ADC seed 2023).
+func servedNet(tb testing.TB) (*quant.Network, []*tensor.T, *sckernel.Engine) {
+	tb.Helper()
 	net := nn.BuildSmallCNN(4, dataset.NumClasses, 11)
 	dcfg := dataset.DefaultConfig()
 	dcfg.Seed = 11
@@ -306,7 +386,7 @@ func BenchmarkQuantForwardBatch(b *testing.B) {
 	net.Train(examples, 4, 16, nn.SGD{LR: 0.05, Momentum: 0.9}, rand.New(rand.NewSource(11)))
 	qn, err := quant.Quantize(net, 8, examples[:48])
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dcfg.Seed = 7
 	xs := make([]*tensor.T, 32)
@@ -320,8 +400,38 @@ func BenchmarkQuantForwardBatch(b *testing.B) {
 	cfg.ADCSeed = 2023
 	packed, err := sckernel.New(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return qn, xs, packed
+}
+
+// TestForwardBatchAllocs pins the allocation-free lowering: a warm
+// 32-input ForwardBatch of the served model allocates at most 4 times
+// (the returned logits' slab, tensors, shapes and slice) on the exact
+// and the packed SC engine. The race detector's instrumentation
+// allocates, so the test does not run under -race.
+func TestForwardBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	qn, xs, packed := servedNet(t)
+	for name, eng := range map[string]quant.DotEngine{"exact": quant.ExactEngine{}, "sconna-packed": packed} {
+		s := quant.NewBatchScratch()
+		engines := []quant.DotEngine{eng}
+		qn.ForwardBatch(xs, engines, s) // grow the scratch
+		if n := testing.AllocsPerRun(10, func() { qn.ForwardBatch(xs, engines, s) }); n > 4 {
+			t.Errorf("%s: %v allocations per warm 32-input ForwardBatch, want at most 4", name, n)
+		}
+	}
+}
+
+// BenchmarkQuantForwardBatch times one 32-input micro-batch of the
+// served model (servedNet) through ForwardBatch on one shared engine:
+// the exact and packed-SC engines through the DotTile boundary, and
+// each behind a Dot-only wrapper (the per-call path) for comparison.
+// ns/op is per batch.
+func BenchmarkQuantForwardBatch(b *testing.B) {
+	qn, xs, packed := servedNet(b)
 	for _, leg := range []struct {
 		name string
 		eng  quant.DotEngine

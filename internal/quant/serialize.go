@@ -212,7 +212,7 @@ func validateConv(c *QConv2D, qmax int) error {
 	if err := validateWeightRange(c.W, qmax); err != nil {
 		return err
 	}
-	return validateScales(c.WScale, c.InScale)
+	return validateEpilogue(c.WScale, c.InScale, c.Bias)
 }
 
 func validateDense(d *QDense, qmax int) error {
@@ -228,7 +228,7 @@ func validateDense(d *QDense, qmax int) error {
 	if err := validateWeightRange(d.W, qmax); err != nil {
 		return err
 	}
-	return validateScales(d.WScale, d.InScale)
+	return validateEpilogue(d.WScale, d.InScale, d.Bias)
 }
 
 // isProduct reports whether n equals the product of dims (each >= 1).
@@ -267,10 +267,29 @@ func bitsFor(qmax int) int {
 	return b
 }
 
+// validateEpilogue enforces what the dequantizing epilogue relies on:
+// positive finite scales and finite biases make dequantization
+// non-decreasing in the accumulator, which pooling on the accumulators
+// (ForwardBatch) needs to equal pooling the dequantized values.
+func validateEpilogue(wScale, inScale float32, bias []float32) error {
+	if err := validateScales(wScale, inScale); err != nil {
+		return err
+	}
+	for i, b := range bias {
+		if math.IsNaN(float64(b)) || math.IsInf(float64(b), 0) {
+			return fmt.Errorf("bias %d is %v, not finite", i, b)
+		}
+	}
+	return nil
+}
+
 func validateScales(wScale, inScale float32) error {
-	for _, s := range []float32{wScale, inScale} {
-		if !(s > 0) || math.IsInf(float64(s), 0) {
-			return fmt.Errorf("scale %v outside (0, +Inf)", s)
+	for _, s := range []struct {
+		name string
+		v    float32
+	}{{"weight", wScale}, {"input", inScale}} {
+		if !(s.v > 0) || math.IsInf(float64(s.v), 0) {
+			return fmt.Errorf("%s scale %v outside (0, +Inf)", s.name, s.v)
 		}
 	}
 	return nil

@@ -193,6 +193,15 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 		{"truncated weights", encode(func(a *artifact) { a.Layers[0].W = a.Layers[0].W[:3] }), "weights"},
 		{"bias mismatch", encode(func(a *artifact) { a.Layers[0].Bias = nil }), "biases"},
 		{"zero scale", encode(func(a *artifact) { a.Layers[0].WScale = 0 }), "scale"},
+		{"infinite input scale", encode(func(a *artifact) { a.Layers[0].InScale = float32(math.Inf(1)) }), "input scale"},
+		// Pooling on the accumulators needs a non-decreasing dequant:
+		// an infinite bias can meet an overflowed product of the other
+		// sign and make NaN.
+		{"infinite bias", encode(func(a *artifact) { a.Layers[0].Bias[1] = float32(math.Inf(-1)) }), "not finite"},
+		{"NaN bias", encode(func(a *artifact) {
+			l := &a.Layers[len(a.Layers)-1]
+			l.Bias[0] = float32(math.NaN())
+		}), "not finite"},
 		{"bad geometry", encode(func(a *artifact) { a.Layers[0].K = 0 }), "invalid"},
 		// |w| > 2^B - 1 would panic a SCONNA engine at request time; the
 		// artifact must die at load instead.

@@ -106,18 +106,25 @@ func PackedDot(b *testing.B) {
 // PackedDotBatch times Engine.DotTile over a serving-sized tile: a
 // micro-batch of flat operand rows against one weight vector (the
 // engine-facing shape of a one-channel tile); ns/op is per call, i.e.
-// smokeBatch dots, each row digested inside the call.
+// smokeBatch dots, each row digested inside the call. Like PackedTile,
+// its operands span the range quant feeds a served model — row lanes in
+// [0, 2^B-1], weights in [-(2^B-1), 2^B-1] — so the timed kernel is the
+// one a served tile of this shape takes (operands() reaches 2^B, which
+// sends a tile to the portable kernel).
 func PackedDotBatch(b *testing.B) {
 	e, err := sckernel.New(Config())
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, dkv := operands()
-	rows := make([]int, smokeBatch*smokeLen)
 	rng := rand.New(rand.NewSource(10))
-	scale := 1 << smokeBits
+	top := 1<<smokeBits - 1
+	rows := make([]int, smokeBatch*smokeLen)
 	for i := range rows {
-		rows[i] = rng.Intn(scale + 1)
+		rows[i] = rng.Intn(top + 1)
+	}
+	dkv := make([]int, smokeLen)
+	for i := range dkv {
+		dkv[i] = rng.Intn(2*top+1) - top
 	}
 	out := make([]int, smokeBatch)
 	b.ReportAllocs()

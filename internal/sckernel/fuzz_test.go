@@ -15,7 +15,10 @@ const fuzzHeader = 9
 // fuzzLane decodes one operand lane from b at stream scale l: the top
 // byte values name the extremes (full scale, the quantizer's top l-1,
 // and just out of range on either side), every other value lands inside
-// the operand range — a row lane in [0, l], a DKV lane in [-l, l].
+// the operand range — a row lane in [0, l], a DKV lane in [-l, l]. A
+// DKV byte's low bit is its sign and b>>1, in [0, 127], spreads over the
+// magnitudes [0, l], so weights of both signs and of every scale occur
+// at every B.
 func fuzzLane(b byte, l int, weight bool) int {
 	switch {
 	case b == 0xff:
@@ -31,7 +34,11 @@ func fuzzLane(b byte, l int, weight bool) int {
 	case b == 0xfc && weight:
 		return -l - 1
 	case weight:
-		return int(b)%(2*l+1) - l
+		m := int(b>>1) * (l + 1) >> 7
+		if b&1 == 1 {
+			return -m
+		}
+		return m
 	}
 	return int(b) % (l + 1)
 }
@@ -116,11 +123,13 @@ func tileSeed(bits, n, nr, nd, s int, ideal bool, rowPat, dkvPat []byte, at map[
 // one below (258) and one past (259) the SIMD kernel's 16-bit sum
 // bound, full chunks at the top of the range; and B from 9 to 12,
 // beyond the SIMD kernel's precision. At B = 8 a generic byte b decodes
-// to the row lane b and the weight b-256, so the quantizer-range
-// weights avoid the byte 0 (-2^B).
+// to the row lane b and to the weight b with its low bit cleared,
+// negated when that bit is set, so the quantizer-range weights below
+// decode to -248, 200, 255, -166, -16, 255 and 128: both signs, none at
+// ±2^B.
 func fuzzDotTileSeeds() [][]byte {
 	rowPat := []byte{0, 7, 130, 0, 41, 251, 9, 0, 0, 60} // zeros as a ReLU leaves them
-	dkvPat := []byte{3, 200, 0xfb, 90, 17, 0xfb, 128}
+	dkvPat := []byte{0xf9, 200, 0xfb, 0xa7, 17, 0xfb, 128}
 	top := []byte{0xfb}
 	seeds := [][]byte{
 		fuzzSeed(8, 64, 9, 4, 9, false, 3, 0, 200, 17, 0, 0, 255, 90),
