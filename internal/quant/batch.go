@@ -130,6 +130,9 @@ func (q *Network) ForwardBatch(xs []*tensor.T, engines []DotEngine, s *BatchScra
 	}
 	for li := 0; li < len(q.layers); li++ {
 		l := q.layers[li]
+		var in [3]int // the layer's input shape, when it is CxHxW
+		copy(in[:], shape)
+		shape = q.layerShape(li, shape)
 		// A ReLU right after an engine layer runs in its epilogue, and
 		// so may the pool after that.
 		relu := (l.conv != nil || l.dense != nil) && li+1 < len(q.layers) && q.layers[li+1].relu
@@ -138,19 +141,16 @@ func (q *Network) ForwardBatch(xs []*tensor.T, engines []DotEngine, s *BatchScra
 		switch {
 		case l.conv != nil:
 			c := l.conv
-			h, w := shape[1], shape[2]
-			oh, ow := (h+2*c.Pad-c.K)/c.Stride+1, (w+2*c.Pad-c.K)/c.Stride+1
-			shape = append(shape[:0], c.OutC, oh, ow)
+			npix := shape[1] * shape[2]
 			if pool {
-				shape = poolShape(shape)
+				shape = q.layerShape(li+2, shape)
 			}
 			next = s.arena(1-a, n*c.OutC*shape[1]*shape[2])
-			c.forwardBatch(cur, next, n, h, w, d, qmax, relu, pool, s, li)
+			c.forwardBatch(cur, next, n, in[1], in[2], d, qmax, relu, pool, s, li)
 			if relu {
-				recordElt(s.Ops, li+1, reluOps(n*c.OutC*oh*ow))
+				recordElt(s.Ops, li+1, reluOps(n*c.OutC*npix))
 			}
 		case l.dense != nil:
-			shape = append(shape[:0], l.dense.Out)
 			next = s.arena(1-a, n*l.dense.Out)
 			l.dense.forwardBatch(cur, next, n, d, qmax, relu, s, li)
 			if relu {
@@ -161,24 +161,19 @@ func (q *Network) ForwardBatch(xs []*tensor.T, engines []DotEngine, s *BatchScra
 			recordElt(s.Ops, li, reluOps(len(cur)))
 			continue
 		case l.pool:
-			c, h, w := shape[0], shape[1], shape[2]
-			shape = poolShape(shape)
-			mo := c * shape[1] * shape[2]
+			mo := shape[0] * shape[1] * shape[2]
 			next = s.arena(1-a, n*mo)
 			for e := range n {
-				poolHalf(cur[e*m:(e+1)*m], next[e*mo:(e+1)*mo], c, h, w)
+				poolHalf(cur[e*m:(e+1)*m], next[e*mo:(e+1)*mo], in[0], in[1], in[2])
 			}
 			recordElt(s.Ops, li, poolOps(len(next)))
 		case l.gap:
-			c, hw := shape[0], shape[1]*shape[2]
-			shape = shape[:1]
-			next = s.arena(1-a, n*c)
+			next = s.arena(1-a, n*in[0])
 			for e := range n {
-				gapPool(cur[e*m:(e+1)*m], next[e*c:(e+1)*c])
+				gapPool(cur[e*m:(e+1)*m], next[e*in[0]:(e+1)*in[0]])
 			}
-			recordElt(s.Ops, li, gapOps(len(next), hw))
+			recordElt(s.Ops, li, gapOps(len(next), in[1]*in[2]))
 		case l.flat:
-			shape = append(shape[:0], m)
 			continue
 		}
 		cur, a, m = next, 1-a, len(next)/n
@@ -209,13 +204,14 @@ func (q *Network) poolFeedsQuantizer(li int) bool {
 	return false
 }
 
-// poolShape is the CxHxW shape after a 2x2 stride-2 pool, which needs
-// at least a 2x2 plane.
-func poolShape(shape []int) []int {
-	if len(shape) != 3 || shape[1] < 2 || shape[2] < 2 {
-		panic(fmt.Sprintf("quant: 2x2 pool over shape %v", shape))
+// layerShape steps one example's shape through layer li in place, with
+// OutputShape's rule, and panics where the layer cannot take it.
+func (q *Network) layerShape(li int, shape []int) []int {
+	l := q.layers[li]
+	shape, err := l.outShape(shape, shape)
+	if err != nil {
+		panic(fmt.Sprintf("quant: layer %d (%s): %v", li, l.kind(), err))
 	}
-	shape[1], shape[2] = shape[1]/2, shape[2]/2
 	return shape
 }
 
@@ -364,12 +360,6 @@ func (c *QConv2D) epilogue(acc []int, ps, oh, ow int, relu, pool bool, out []flo
 	if !pool {
 		for oc, bias := range c.Bias {
 			a, dst := acc[(oc/ps)*npix*ps+oc%ps:], out[oc*npix:(oc+1)*npix]
-			if ps == 1 {
-				for p, v := range a[:npix] {
-					dst[p] = dequant(v, inScale, wScale, bias, relu)
-				}
-				continue
-			}
 			for p := range dst {
 				dst[p] = dequant(a[p*ps], inScale, wScale, bias, relu)
 			}
@@ -541,9 +531,6 @@ func (c *QConv2D) reach(span []int, on int) []int {
 // dequantizes the results into dst, [example][output].
 func (dl *QDense) forwardBatch(src, dst []float32, n int, d dotter, qmax int, relu bool, bs *BatchScratch, li int) {
 	dl.recordOps(bs.Ops, li, n)
-	if len(src) != n*dl.In {
-		panic(fmt.Sprintf("quant: dense layer input length %d, want %d", len(src)/n, dl.In))
-	}
 	rows := quantizeActs(bs.rows, src, dl.InScale, qmax)
 	bs.rows = rows
 	bs.acc = growInts(bs.acc, dl.Out*n)

@@ -534,51 +534,53 @@ func (q *Network) OutputShape(in []int) ([]int, error) {
 	shape := append([]int(nil), in...)
 	for i, l := range q.layers {
 		var err error
-		switch {
-		case l.conv != nil:
-			shape, err = l.conv.outShape(shape)
-		case l.dense != nil:
-			if n != l.dense.In {
-				err = fmt.Errorf("dense layer takes %d inputs, got shape %v", l.dense.In, shape)
-			}
-			shape = []int{l.dense.Out}
-		case l.pool:
-			if len(shape) != 3 || shape[1] < 2 || shape[2] < 2 {
-				err = fmt.Errorf("2x2 pool needs a CxHxW input of at least 2x2, got %v", shape)
-			} else {
-				shape = []int{shape[0], shape[1] / 2, shape[2] / 2}
-			}
-		case l.gap:
-			if len(shape) != 3 {
-				err = fmt.Errorf("global average pool needs a CxHxW input, got %v", shape)
-			} else {
-				shape = shape[:1]
-			}
-		case l.flat:
-			shape = []int{n}
-		}
-		if err != nil {
+		if shape, err = l.outShape(shape, shape); err != nil {
 			return nil, fmt.Errorf("quant: layer %d (%s): %w", i, l.kind(), err)
-		}
-		n = 1
-		for _, d := range shape {
-			n *= d
 		}
 	}
 	return shape, nil
 }
 
-// outShape is the conv's output shape over a CxHxW input.
-func (c *QConv2D) outShape(in []int) ([]int, error) {
-	if len(in) != 3 || in[0] != c.InC {
-		return nil, fmt.Errorf("conv takes %d input channels, got shape %v", c.InC, in)
+// outShape writes the shape of the layer's output over one example of
+// shape in to dst, which may alias in, and returns it; or it returns an
+// error if the layer cannot take that shape. It is the one shape rule
+// of OutputShape and ForwardBatch.
+func (l qlayer) outShape(dst, in []int) ([]int, error) {
+	n := 1
+	for _, d := range in {
+		n *= d
 	}
-	if c.Pad >= c.K {
-		return nil, fmt.Errorf("conv padding %d is not smaller than its %dx%d kernel", c.Pad, c.K, c.K)
+	switch {
+	case l.conv != nil:
+		c := l.conv
+		if len(in) != 3 || in[0] != c.InC {
+			return nil, fmt.Errorf("conv takes %d input channels, got shape %v", c.InC, in)
+		}
+		if c.Pad >= c.K {
+			return nil, fmt.Errorf("conv padding %d is not smaller than its %dx%d kernel", c.Pad, c.K, c.K)
+		}
+		h, w := in[1]+2*c.Pad, in[2]+2*c.Pad
+		if h < c.K || w < c.K {
+			return nil, fmt.Errorf("conv %dx%d window exceeds the %dx%d input padded by %d", c.K, c.K, in[1], in[2], c.Pad)
+		}
+		return append(dst[:0], c.OutC, (h-c.K)/c.Stride+1, (w-c.K)/c.Stride+1), nil
+	case l.dense != nil:
+		if n != l.dense.In {
+			return nil, fmt.Errorf("dense layer takes %d inputs, got shape %v", l.dense.In, in)
+		}
+		return append(dst[:0], l.dense.Out), nil
+	case l.pool:
+		if len(in) != 3 || in[1] < 2 || in[2] < 2 {
+			return nil, fmt.Errorf("2x2 pool needs a CxHxW input of at least 2x2, got %v", in)
+		}
+		return append(dst[:0], in[0], in[1]/2, in[2]/2), nil
+	case l.gap:
+		if len(in) != 3 {
+			return nil, fmt.Errorf("global average pool needs a CxHxW input, got %v", in)
+		}
+		return append(dst[:0], in[0]), nil
+	case l.flat:
+		return append(dst[:0], n), nil
 	}
-	h, w := in[1]+2*c.Pad, in[2]+2*c.Pad
-	if h < c.K || w < c.K {
-		return nil, fmt.Errorf("conv %dx%d window exceeds the %dx%d input padded by %d", c.K, c.K, in[1], in[2], c.Pad)
-	}
-	return []int{c.OutC, (h-c.K)/c.Stride + 1, (w-c.K)/c.Stride + 1}, nil
+	return append(dst[:0], in...), nil // ReLU
 }

@@ -261,9 +261,10 @@ func TestForwardBatchCompositionIndependent(t *testing.T) {
 // TestForwardBatchOneAtATimeMatchesNaive pins the evaluation contract:
 // one engine fed consecutive one-input ForwardBatch calls over a reused
 // scratch realizes, input by input, exactly the noise ForwardNaive draws
-// on another engine with the same configuration — for the packed kernel
-// and the scalar core, on every rowNets geometry. Evaluate and
-// EvaluateParallel (and so -exp table5) rest on it.
+// on another engine with the same configuration — for the packed kernel,
+// the scalar core and exact arithmetic, on every rowNets geometry, with
+// every other input sparse enough for the exact engine's compacted path.
+// Evaluate and EvaluateParallel (and so -exp table5) rest on it.
 func TestForwardBatchOneAtATimeMatchesNaive(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Bits = 8
@@ -273,6 +274,7 @@ func TestForwardBatchOneAtATimeMatchesNaive(t *testing.T) {
 	builds := map[string]func() (quant.DotEngine, error){
 		"packed": func() (quant.DotEngine, error) { return sckernel.New(cfg) },
 		"scalar": func() (quant.DotEngine, error) { return quant.NewSconnaEngine(cfg) },
+		"exact":  func() (quant.DotEngine, error) { return quant.ExactEngine{}, nil },
 	}
 	xs := rowInputs(4, 2, 33)
 	for name, qn := range rowNets(t) {
@@ -299,7 +301,9 @@ func TestForwardBatchOneAtATimeMatchesNaive(t *testing.T) {
 // result depends only on nonzero lanes — exact arithmetic and the
 // ideal-ADC scalar and packed SC engines — to the padding-truncating
 // reference the lowering used before it took full windows: their logits
-// did not move. Batches mix sparse-path and dense-path examples.
+// did not move. Batches mix sparse-path and dense-path examples; the
+// first conv's op tally shows the zero-skipping engines (exact and
+// packed-ideal) took the compacted path.
 func TestForwardBatchMatchesTruncatedReference(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Bits = 8
@@ -318,55 +322,15 @@ func TestForwardBatchMatchesTruncatedReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := qn.ForwardBatch(xs, []quant.DotEngine{eng}, nil)
-			for i, x := range xs {
-				want := qn.ForwardTruncated(x, eng)
-				assertLogitsBitIdentical(t, fmt.Sprintf("%s/%s input %d", name, ename, i), got[i:i+1], []*tensor.T{want})
-			}
-		}
-	}
-}
-
-// TestForwardBatchRowNetsMatchNaive: on every rowNets geometry,
-// ForwardBatch equals ForwardNaive bit for bit on the exact engine and
-// the packed SC engine with an ideal and a noisy ADC, over a batch
-// whose every other example is sparse enough to take the compacted
-// path on the zero-skipping engines (checked through the op tally of
-// the first conv layer).
-func TestForwardBatchRowNetsMatchNaive(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.Bits = 8
-	cfg.N = 16
-	cfg.M = 1
-	cfg.ADCSeed = 31
-	packed := func(ideal bool) func() (quant.DotEngine, error) {
-		return func() (quant.DotEngine, error) {
-			c := cfg
-			c.IdealADC = ideal
-			return sckernel.New(c)
-		}
-	}
-	builds := map[string]func() (quant.DotEngine, error){
-		"exact":        func() (quant.DotEngine, error) { return quant.ExactEngine{}, nil },
-		"packed-ideal": packed(true),
-		"packed-noisy": packed(false),
-	}
-	xs := rowInputs(5, 2, 43)
-	for name, qn := range rowNets(t) {
-		for ename, build := range builds {
-			eng, err := build()
-			if err != nil {
-				t.Fatal(err)
-			}
 			s := quant.NewBatchScratch()
 			s.Ops = qn.OpRecorder()
 			got := qn.ForwardBatch(xs, []quant.DotEngine{eng}, s)
 			for i, x := range xs {
-				want := qn.ForwardNaive(x, eng)
+				want := qn.ForwardTruncated(x, eng)
 				assertLogitsBitIdentical(t, fmt.Sprintf("%s/%s input %d", name, ename, i), got[i:i+1], []*tensor.T{want})
 			}
 			c1 := s.Ops.Snapshot().Layers[0]
-			if sparse := c1.Exec.Total() < c1.Dense.Total(); sparse != (ename != "packed-noisy") {
+			if sparse := c1.Exec.Total() < c1.Dense.Total(); sparse != (ename != "scalar-ideal") {
 				t.Fatalf("%s/%s: first conv executed %d of %d dense ops: sparse path taken = %v", name, ename, c1.Exec.Total(), c1.Dense.Total(), sparse)
 			}
 		}
