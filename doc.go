@@ -116,9 +116,11 @@
 //     weight gradient one GEMM against the same patch matrix, and the
 //     input gradient a scatter through the same position lists. The
 //     quantized plane (internal/quant) lowers each conv layer, per
-//     example, to one zero-padded full-window integer operand block
-//     (one S-lane row per output pixel, in weight-row order) and one
-//     engine product against the weight rows as stored.
+//     example, to one engine product of its zero-padded full windows
+//     (one S-lane row per output pixel, in weight-row order) against
+//     the weight rows as stored: the engine gets the zero-bordered
+//     quantized planes and the geometry (quant.ConvTile) and gathers
+//     the windows itself, or takes the tile's reference gather.
 //
 //   - Determinism contract: float addition is not associative, so the
 //     GEMM keeps the reference reduction order — accumulators start at
@@ -237,12 +239,26 @@
 //     precision New accepts, and by cross-engine property tests on full
 //     network forwards under -race).
 //
-//   - Serving integration: sckernel.Engine implements quant.DotEngine
-//     and the layer-tile quant.TileDotter boundary. DotTile range-checks
-//     and digests (core.VecKey) each weight vector and each operand row
-//     of a tile once, then runs a register-tiled kernel on the analytic
-//     count, chosen per tile from what the code can observe: the CPU,
-//     B, N and the tile's own operands. On amd64 with AVX2, a tile with
+//   - Serving integration: sckernel.Engine implements quant.DotEngine,
+//     the layer-tile quant.TileDotter boundary and its conv form,
+//     quant.ConvDotter. DotTile range-checks and digests (core.VecKey)
+//     each weight vector and each operand row of a tile once, then runs
+//     a register-tiled kernel on the analytic count, chosen per tile
+//     from what the code can observe: the CPU, B, N and the tile's own
+//     operands. The conv entry, DotConv, takes one example's
+//     zero-bordered quantized planes and the conv geometry
+//     (quant.ConvTile) instead of a gathered block, against weight rows
+//     the engine prepared once per layer (PrepareDKVs: the lanes, the
+//     range check and the mixed digests, built on the layer's first
+//     forward and kept in the quant.BatchScratch paired with the
+//     engine, never at Load). Where the SIMD kernel runs and the stride
+//     is 1 with OW a multiple of 4 — every conv tile of the served
+//     model — it narrows the planes to uint16 once, range-checking them,
+//     and packs the SIMD layout straight from them, 4 output pixels per
+//     64-bit load, digesting each row from the gathered lanes in
+//     VecKey's lane order (an implicit GEMM: no patch matrix). Every
+//     other tile runs DotTile's path on the reference gather,
+//     ConvTile.Rows. On amd64 with AVX2, a tile with
 //     B <= 8, every lane below 2^B, psum chunk sums below 2^16 and at
 //     least four rows — every tile a served model produces — runs a
 //     SIMD kernel: rows packed 16 per YMM register as uint16 lanes
@@ -263,11 +279,17 @@
 //
 //   - Fuzz tier: internal/bitstream carries native Go fuzz targets
 //     (round-trip parsing, AndPopCount vs a naive oracle, tail-mask
-//     invariants) with checked-in seed corpora, and
+//     invariants) with checked-in seed corpora,
 //     internal/sckernel's FuzzDotTile checks DotTile against the Dot
 //     loop on decoded precisions, VDPE sizes, shapes and operands
-//     (full-scale and out-of-range lanes among its seeds); CI runs a
-//     short fuzz smoke of each on every change.
+//     (full-scale and out-of-range lanes among its seeds), and
+//     internal/quant's FuzzForwardBatch checks ForwardBatch against
+//     ForwardNaive on decoded networks (conv K 1-5, stride, padding,
+//     depthwise, ReLU, pool, GAP, flatten, dense, 2-8 bits) and
+//     sparse, huge and zero inputs, on the exact, ideal-ADC and noisy
+//     packed engines and a Dot-only wrapper, with batch composition,
+//     Save→Load and invalid-layout rejection; CI runs a short fuzz
+//     smoke of each on every change.
 //
 // cmd/benchsc emits the SC-kernel trajectory (BENCH_sc.json, schema
 // repro/bench_sc@v2) and gates CI on the packed-vs-scalar dot speedup —
@@ -293,13 +315,17 @@
 //     request, greedily drains whatever else is pending and optionally
 //     waits up to MaxWait for the batch to fill, then a worker runs the
 //     batch through quant.(*Network).ForwardBatch on a pooled engine.
-//     Each conv layer runs example by example: one operand block per
-//     example, bounded by one example rather than the batch, and one
-//     quant.TileDotter DotTile call against every weight row (one per
-//     channel for a depthwise conv; the exact engine runs it as a
-//     register-tiled integer GEMM). A dense layer is one tile over the
-//     whole batch. Engines without the capability get the same operands
-//     as one Dot per (row, weight row). A full queue rejects instead of
+//     Each conv layer runs example by example: one quant.ConvTile of the
+//     example's quantized planes per group (one per channel for a
+//     depthwise conv), bounded by one example rather than the batch,
+//     against every weight row of the group. A quant.ConvDotter gathers
+//     the windows itself (the SC engine packs its SIMD layout straight
+//     from the planes; the exact engine runs the reference gather into
+//     a register-tiled integer GEMM, sized from its prepared Σ|w| and
+//     the planes' OR). Any other engine gets the tile's reference
+//     gather, ConvTile.Rows: one DotTile call on a quant.TileDotter,
+//     otherwise one Dot per (row, weight row). A dense layer is one tile
+//     over the whole batch. A full queue rejects instead of
 //     buffering (ErrOverloaded, HTTP 429 with Retry-After); requests
 //     whose context ends while queued are skipped, not computed.
 //

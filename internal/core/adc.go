@@ -166,12 +166,16 @@ func adcTable(mape float64) *[adcSize]int32 {
 
 // VecKey digests one operand vector: its length and every lane value.
 // It is the half of a row key a caller can compute once and reuse for
-// every DKV the same DIV meets (see quant.TileDotter). Lanes feed four
-// independent xor-multiply chains, so the multiplies overlap instead of
-// waiting on each other (about 3x faster than one chain).
+// every DKV the same DIV meets (see quant.TileDotter). Lane k feeds
+// chain k%4 of four independent xor-multiply chains, so the multiplies
+// overlap instead of waiting on each other (about 3x faster than one
+// chain); the lanes past the last multiple of 4 feed chain 0. Chain c
+// starts at KeySeed(len(v), c), each step is h = (h ^ lane) * KeyPrime,
+// and KeyFinish combines the four: a caller holding the lanes in
+// another layout can fold them in the same order for the same digest.
 func VecKey(v []int) uint64 {
-	const p = 0x100000001b3 // the 64-bit FNV prime
-	a, b, c, d := uint64(len(v)), uint64(1), uint64(2), uint64(3)
+	const p = KeyPrime
+	a, b, c, d := KeySeed(len(v), 0), KeySeed(len(v), 1), KeySeed(len(v), 2), KeySeed(len(v), 3)
 	for ; len(v) >= 4; v = v[4:] {
 		a = (a ^ uint64(v[0])) * p
 		b = (b ^ uint64(v[1])) * p
@@ -181,6 +185,23 @@ func VecKey(v []int) uint64 {
 	for _, x := range v {
 		a = (a ^ uint64(x)) * p
 	}
+	return KeyFinish(a, b, c, d)
+}
+
+// KeyPrime is the multiplier of VecKey's chains, the 64-bit FNV prime.
+const KeyPrime = 0x100000001b3
+
+// KeySeed is the start of VecKey's chain c (0..3) for a vector of n
+// lanes: n for chain 0, c for the others.
+func KeySeed(n, c int) uint64 {
+	if c == 0 {
+		return uint64(n)
+	}
+	return uint64(c)
+}
+
+// KeyFinish combines VecKey's four chains into the digest.
+func KeyFinish(a, b, c, d uint64) uint64 {
 	return digest.Mix64(a ^ bits.RotateLeft64(b, 16) ^ bits.RotateLeft64(c, 32) ^ bits.RotateLeft64(d, 48))
 }
 

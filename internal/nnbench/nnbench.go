@@ -168,14 +168,20 @@ func ConvForwardSparse(sparsity float64) func(*testing.B) {
 
 // denseOnlyExact is the exact engine without quant.ZeroSkipper, so it
 // pins the dense lowering: the dense reference leg of the sparsity sweep
-// runs the exact engine's own tile GEMM — the dense path ExactEngine
-// takes below the sparsity gate — with zero skipping off.
+// runs the exact engine's own conv entry and tile GEMM — the dense path
+// ExactEngine takes below the sparsity gate — with zero skipping off.
 type denseOnlyExact struct{}
 
 func (denseOnlyExact) Name() string           { return "exact-dense" }
 func (denseOnlyExact) Dot(div, dkv []int) int { return quant.ExactEngine{}.Dot(div, dkv) }
 func (denseOnlyExact) DotTile(rows, dkvs []int, s int, out []int) {
 	quant.ExactEngine{}.DotTile(rows, dkvs, s, out)
+}
+func (denseOnlyExact) PrepareDKVs(dkvs []int, s int) any {
+	return quant.ExactEngine{}.PrepareDKVs(dkvs, s)
+}
+func (denseOnlyExact) DotConv(t *quant.ConvTile, dkvs []int, w any, out []int) {
+	quant.ExactEngine{}.DotConv(t, dkvs, w, out)
 }
 
 // benchQuantSparse builds a single quantized convolution on the golden

@@ -10,13 +10,21 @@ import (
 
 // BatchScratch holds the reusable buffers of a quantized inference
 // stream: the micro-batch's activations between layers, the current
-// example's quantized activations, the operand block of its current
-// layer and the engine results for that block, and the sparse path's
-// buffers. The lowering runs a micro-batch example by example through
-// each conv layer, so every integer buffer is bounded by one example,
-// not by the batch (the dense layer's block holds one row per example);
-// the two activation arenas hold the whole batch and grow to the
-// largest batch served.
+// example's quantized activations, its current conv tile (with the
+// reference gather's block) or dense layer's rows, the engine results,
+// and the sparse path's buffers. The lowering runs a micro-batch
+// example by example through each conv layer, so every integer buffer
+// is bounded by one example, not by the batch (the dense layer's block
+// holds one row per example); the two activation arenas hold the whole
+// batch and grow to the largest batch served.
+//
+// It also keeps each conv layer's weights in the forms the hot path
+// reads, built on the layer's first use: the engine's prepared weight
+// rows (ConvDotter) and the sparse path's per-tap table. They belong to
+// the network and engine the scratch last served and are dropped when
+// either changes, so they live exactly as long as the (network, engine)
+// pairing that the serving pool and the evaluation shards give a
+// scratch.
 //
 // A BatchScratch belongs to one goroutine at a time, like the engine it
 // serves. The serving plane pairs one with each pooled engine;
@@ -28,16 +36,22 @@ type BatchScratch struct {
 	act   [2][]float32
 	shape []int // the current activations' per-example shape
 
-	qx   []int // the current example's quantized activations
-	pad  []int // qx with a zero border
-	rows []int // operand block of the current (example, layer): one row per output pixel
-	acc  []int // engine results for the block, [DKV][row]
+	qx   []int    // the current example's quantized activations
+	pad  []int    // qx with a zero border
+	tile ConvTile // the current (example, conv layer, group) tile
+	rows []int    // a dense layer's operand block: one row per example
+	acc  []int    // engine results for the block, [DKV][row]
 
-	// The sparse path's buffers (see sparseForward): per input channel
-	// its weights by (kernel tap, output channel), one activation's
+	// The sparse path's buffers (see sparseForward): one activation's
 	// products, and the output rows and columns each input row and
 	// column reaches.
-	wtap, prod, span []int
+	prod, span []int
+
+	// Per-layer weight forms (see bind) for the network net and, for
+	// the prepared weight rows, the ConvDotter cd.
+	net    *Network
+	cd     ConvDotter
+	layers []layerPrep
 
 	// Ops, when non-nil, receives per-layer op tallies (dense-equivalent
 	// and executed) aggregated over the whole micro-batch; nil costs one
@@ -46,9 +60,35 @@ type BatchScratch struct {
 	Ops *opcount.Recorder
 }
 
+// layerPrep is a conv layer's weights in the forms the hot path reads,
+// each built on its first use: the engine's prepared weight rows per
+// group, and the sparse path's table of each input channel's weights by
+// (kernel tap, output channel).
+type layerPrep struct {
+	dkvs []any
+	wtap []int
+}
+
 // NewBatchScratch returns an empty batch scratch; buffers grow on first
 // use and are retained across calls.
 func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
+
+// bind points the per-layer weight forms at network q and engine form
+// cd (nil for an engine that is no ConvDotter): forms built for another
+// network are dropped, and so are prepared rows from another
+// ConvDotter. The sparse tables depend on the network alone.
+func (bs *BatchScratch) bind(q *Network, cd ConvDotter) {
+	if bs.net != q {
+		bs.net, bs.cd = q, nil
+		bs.layers = make([]layerPrep, len(q.layers))
+	}
+	if cd != nil && cd != bs.cd {
+		bs.cd = cd
+		for i := range bs.layers {
+			bs.layers[i].dkvs = nil
+		}
+	}
+}
 
 // arena returns activation arena i with n elements, reallocating only
 // when its capacity is short. Contents are unspecified.
@@ -119,6 +159,7 @@ func (q *Network) ForwardBatch(xs []*tensor.T, engines []DotEngine, s *BatchScra
 		s = NewBatchScratch()
 	}
 	d := newDotter(engines[0])
+	s.bind(q, d.cd)
 	qmax := int(1)<<uint(q.Bits) - 1
 	n := len(xs)
 	shape := append(s.shape[:0], xs[0].Shape...) // one example's shape
@@ -246,16 +287,19 @@ func sameShape(a, b []int) bool {
 }
 
 // dotter is ForwardBatch's engine with its capabilities resolved once
-// per batch: its TileDotter form and whether it skips zeros.
+// per batch: its TileDotter and ConvDotter forms and whether it skips
+// zeros.
 type dotter struct {
 	eng   DotEngine
 	td    TileDotter
+	cd    ConvDotter
 	skips bool
 }
 
 func newDotter(eng DotEngine) dotter {
 	d := dotter{eng: eng, skips: skipsZeros(eng)}
 	d.td, _ = eng.(TileDotter)
+	d.cd, _ = eng.(ConvDotter)
 	return d
 }
 
@@ -291,13 +335,16 @@ func dequant(acc int, inScale, wScale, bias float32, relu bool) float32 {
 // forwardBatch runs the lowered quantized convolution over the n
 // examples of InC x h x w in src, example by example, writing each
 // example's output to its slot of dst. Each example's input is quantized
-// once; on the dense path its full-window operand block is built once
-// per layer (per channel for a depthwise conv) and goes to the engine
-// against every output channel's weight row as stored — the DKV of a
-// full window is its weight row, so nothing is gathered. The operand
-// vectors are exactly ForwardNaive's. The epilogue dequantizes the
-// engine results, with a fused ReLU when relu is set and a fused 2x2
-// max pool on the accumulators when pool is set.
+// once; on the dense path its zero-bordered planes go to the engine as
+// one ConvTile per group (one group for a standard conv, one per channel
+// for a depthwise conv) against every output channel's weight row of
+// the group as stored — the DKV of a full window is its weight row, so
+// no weight is gathered. A ConvDotter gathers the windows itself,
+// against the weight rows it prepared on the layer's first dense tile;
+// any other engine gets the tile's reference gather, ConvTile.Rows,
+// through dotTile. The operand vectors are exactly ForwardNaive's. The
+// epilogue dequantizes the engine results, with a fused ReLU when relu
+// is set and a fused 2x2 max pool on the accumulators when pool is set.
 //
 // Sparsity gating is per example: on an engine that opts in
 // (ZeroSkipper), an example whose quantized input clears worthSparse
@@ -316,7 +363,7 @@ func (c *QConv2D) forwardBatch(src, dst []float32, n, h, w int, d dotter, qmax i
 		groups, ksz = c.InC, k2
 	}
 	gin, gout := c.InC/groups, c.OutC/groups
-	bs.rows = growInts(bs.rows, npix*ksz)
+	lp := &bs.layers[li]
 	bs.acc = growInts(bs.acc, c.OutC*npix)
 	nDense, nSparse, nnzSparse := 0, 0, 0
 	for e := range n {
@@ -324,16 +371,32 @@ func (c *QConv2D) forwardBatch(src, dst []float32, n, h, w int, d dotter, qmax i
 		out := dst[e*nout : (e+1)*nout]
 		if d.skips && worthSparse(bs.qx) {
 			nSparse++
-			nnzSparse += c.sparseForward(d, bs, groups, h, w)
+			if lp.wtap == nil {
+				lp.wtap = c.tapWeights(groups)
+			}
+			nnzSparse += c.sparseForward(d, bs, lp.wtap, groups, h, w)
 			c.epilogue(bs.acc, gout, pos.OutH, pos.OutW, relu, pool, out)
 			continue
 		}
 		nDense++
 		planes := bs.padPlanes(bs.qx, c.InC, h, w, c.Pad)
-		phw := len(planes) / c.InC
+		t := &bs.tile
+		t.C, t.PH, t.PW, t.K, t.Stride, t.OH, t.OW = gin, h+2*c.Pad, w+2*c.Pad, c.K, c.Stride, pos.OutH, pos.OutW
+		phw := t.PH * t.PW
 		for g := 0; g < groups; g++ {
-			c.im2col(bs.rows, planes[g*gin*phw:(g+1)*gin*phw], gin, w+2*c.Pad, pos.OutH, pos.OutW)
-			d.dotTile(bs.rows, c.W[g*gout*ksz:(g+1)*gout*ksz], ksz, bs.acc[g*gout*npix:(g+1)*gout*npix])
+			t.Planes = planes[g*gin*phw : (g+1)*gin*phw]
+			dkvs, acc := c.W[g*gout*ksz:(g+1)*gout*ksz], bs.acc[g*gout*npix:(g+1)*gout*npix]
+			if d.cd == nil {
+				d.dotTile(t.Rows(), dkvs, ksz, acc)
+				continue
+			}
+			if lp.dkvs == nil {
+				lp.dkvs = make([]any, groups)
+			}
+			if lp.dkvs[g] == nil {
+				lp.dkvs[g] = d.cd.PrepareDKVs(dkvs, ksz)
+			}
+			d.cd.DotConv(t, dkvs, lp.dkvs[g], acc)
 		}
 		c.epilogue(bs.acc, 1, pos.OutH, pos.OutW, relu, pool, out)
 	}
@@ -397,66 +460,25 @@ func (bs *BatchScratch) padPlanes(qx []int, inC, h, w, pad int) []int {
 	return bs.pad
 }
 
-// im2col fills rows with one full-window operand row per output pixel
-// (oh x ow, row-major) over inC zero-bordered planes of width pw: lanes
-// in (ic, ky, kx) order — the weight-row order — with the border's zeros
-// for the taps that fall in the padding. Each (ic, ky) segment of a row
-// is k consecutive values of one plane row.
-func (c *QConv2D) im2col(rows, planes []int, inC, pw, oh, ow int) {
-	k, st := c.K, c.Stride
-	ph := len(planes) / (inC * pw)
-	s := inC * k * k
-	for oy := 0; oy < oh; oy++ {
-		for ic := 0; ic < inC; ic++ {
-			for ky := 0; ky < k; ky++ {
-				src := planes[(ic*ph+oy*st+ky)*pw:][:pw]
-				d := oy*ow*s + (ic*k+ky)*k
-				if k == 3 { // the common kernel, unrolled
-					for ox := 0; ox < ow; ox++ {
-						r, v := rows[d+ox*s:][:3], src[ox*st:][:3]
-						r[0], r[1], r[2] = v[0], v[1], v[2]
-					}
-					continue
-				}
-				for ox := 0; ox < ow; ox++ {
-					copy(rows[d+ox*s:d+ox*s+k], src[ox*st:])
-				}
-			}
-		}
-	}
-}
-
 // sparseForward is the compacted path of one example, input-stationary:
 // each nonzero activation is one engine tile, a single-lane row against
-// its input channel's weights at every kernel tap as single-lane DKVs,
-// and the products add into the outputs whose windows read it. A
-// pixel's products over its nonzero lanes sum to its Dot (ZeroSkipper
-// clauses 1 and 3), and a pixel no nonzero activation reaches stays 0
-// (clause 2). The sums, accumulated [group][pixel][channel in group] in
-// bs.acc, are dequantized into out. It returns the nonzero lane count
-// over all pixels, the work a zero-skipping engine does per output
-// channel.
+// its input channel's weights at every kernel tap as single-lane DKVs
+// (its slice of wtap, the layer's tapWeights table), and the products
+// add into the outputs whose windows read it. A pixel's products over
+// its nonzero lanes sum to its Dot (ZeroSkipper clauses 1 and 3), and a
+// pixel no nonzero activation reaches stays 0 (clause 2). The sums
+// accumulate [group][pixel][channel in group] in bs.acc. It returns the
+// nonzero lane count over all pixels, the work a zero-skipping engine
+// does per output channel.
 //
 // The DKVs run (ky, kx) with kx reversed, so at stride 1 the taps one
 // activation meets along an output row are consecutive, like the row's
 // pixels, and each output row takes one add loop.
-func (c *QConv2D) sparseForward(d dotter, bs *BatchScratch, groups, h, w int) int {
+func (c *QConv2D) sparseForward(d dotter, bs *BatchScratch, wtap []int, groups, h, w int) int {
 	k, k2 := c.K, c.K*c.K
 	gin, gout := c.InC/groups, c.OutC/groups
 	oh, ow := (h+2*c.Pad-k)/c.Stride+1, (w+2*c.Pad-k)/c.Stride+1
 	npix := oh * ow
-	wtap := growInts(bs.wtap, c.InC*k2*gout)
-	bs.wtap = wtap
-	for ic := 0; ic < c.InC; ic++ {
-		g := ic / gin
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				for j := 0; j < gout; j++ {
-					wtap[((ic*k+ky)*k+k-1-kx)*gout+j] = c.W[(((g*gout+j)*gin+ic-g*gin)*k+ky)*k+kx]
-				}
-			}
-		}
-	}
 	bs.span = growInts(bs.span, 2*(h+w))
 	ys, xs := c.reach(bs.span[:2*h], oh), c.reach(bs.span[2*h:], ow)
 	acc := bs.acc[:npix*c.OutC]
@@ -496,6 +518,26 @@ func (c *QConv2D) sparseForward(d dotter, bs *BatchScratch, groups, h, w int) in
 		}
 	}
 	return nnz
+}
+
+// tapWeights returns the sparse path's weight table, wtap in
+// sparseForward: per input channel, its weights by (kernel tap, output
+// channel of its group), the taps (ky, kx) with kx reversed.
+func (c *QConv2D) tapWeights(groups int) []int {
+	k := c.K
+	gin, gout := c.InC/groups, c.OutC/groups
+	wtap := make([]int, c.InC*k*k*gout)
+	for ic := 0; ic < c.InC; ic++ {
+		g := ic / gin
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				for j := 0; j < gout; j++ {
+					wtap[((ic*k+ky)*k+k-1-kx)*gout+j] = c.W[(((g*gout+j)*gin+ic-g*gin)*k+ky)*k+kx]
+				}
+			}
+		}
+	}
+	return wtap
 }
 
 // addInts adds src[i] to dst[i] for every i < len(dst), four at a time.

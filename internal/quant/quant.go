@@ -40,10 +40,10 @@ type DotEngine interface {
 // r = len(rows)/s rows and len(dkvs)/s DKVs (s >= 1), and panic wherever
 // one of those Dot calls would — so not at all when either count is
 // zero. out is laid out [DKV][row], a conv layer's [channel][pixel]
-// tensor order. The lowering hands one engine a conv layer's zero-padded
-// full-window operand block of one example, S = K*K*D lanes per output
-// pixel in the weight-row order, against every output channel's weight
-// row as stored; the engine can validate and pack each DKV once per tile
+// tensor order. It is the materialized reference form: the lowering
+// hands it a dense layer's rows, the sparse path's single-lane rows, and
+// a conv tile's gathered rows (ConvTile.Rows) when the engine is not a
+// ConvDotter. The engine can validate and pack each DKV once per tile
 // and digest each row once, however many DKVs it meets. An engine
 // without the capability gets one Dot per (row, DKV), DKV-major.
 type TileDotter interface {
@@ -71,7 +71,7 @@ func (ExactEngine) Dot(div, dkv []int) int {
 // micro-kernel takes two rows against four DKVs, two DKVs packed per
 // int64 (w0 + w1<<32), so each multiply feeds two sums and the eight
 // sums live in four registers. The packing is exact while every sum
-// stays within int32, which packedSumsFit checks on the actual operands;
+// stays within int32, which sumsFit checks on the actual operands;
 // otherwise, and for the DKVs left over from the groups of four, the
 // tile runs Dot, whose sums wrap like any other order's. A single-lane
 // row against single-lane DKVs (the sparse path's shape) is a scaled
@@ -85,8 +85,16 @@ func (ExactEngine) DotTile(rows, dkvs []int, s int, out []int) {
 		}
 		return
 	}
+	exactTile(rows, dkvs, s, out, nr >= 2 && nd >= 4 && sumsFit(orBound(rows), maxAbsSum(dkvs, s)))
+}
+
+// exactTile runs every row against every DKV, through the packed 2x4
+// micro-kernel when packed (every sum fits int32) and by Dot for the
+// rest.
+func exactTile(rows, dkvs []int, s int, out []int, packed bool) {
+	nr, nd := len(rows)/s, len(dkvs)/s
 	j := 0
-	if nr >= 2 && nd >= 4 && packedSumsFit(rows, dkvs, s) {
+	if packed {
 		for ; j+4 <= nd; j += 4 {
 			exactTile4(rows, dkvs[j*s:(j+4)*s], s, out[j*nr:(j+4)*nr])
 		}
@@ -99,39 +107,50 @@ func (ExactEngine) DotTile(rows, dkvs []int, s int, out []int) {
 	}
 }
 
-// packedSumsFit reports that every (row, DKV) sum of the tile, and so
-// each half of a packed accumulator, lies strictly within int32: rows
-// nonnegative with their OR m (an upper bound on every row value) times
-// the largest per-DKV sum of |w| below 2^31.
-func packedSumsFit(rows, dkvs []int, s int) bool {
-	const lim = 1<<31 - 1
+// sumsLimit bounds every sum the packed micro-kernel may form: each
+// half of a packed accumulator must lie strictly within int32.
+const sumsLimit = 1<<31 - 1
+
+// sumsFit reports that every (row, DKV) sum of a tile lies strictly
+// within int32, given m, an upper bound on every (nonnegative) row
+// value, and sum, the largest per-DKV sum of |w| (negative when some
+// weight lies outside int32).
+func sumsFit(m, sum int) bool {
+	return m >= 0 && m <= sumsLimit && sum >= 0 && (m == 0 || sum <= sumsLimit/m)
+}
+
+// orBound returns the OR of v: an upper bound on every value when all
+// are nonnegative, and negative when one is not.
+func orBound(v []int) int {
 	var m0, m1, m2, m3 int
-	for ; len(rows) >= 4; rows = rows[4:] {
-		m0 |= rows[0]
-		m1 |= rows[1]
-		m2 |= rows[2]
-		m3 |= rows[3]
+	for ; len(v) >= 4; v = v[4:] {
+		m0 |= v[0]
+		m1 |= v[1]
+		m2 |= v[2]
+		m3 |= v[3]
 	}
 	m := m0 | m1 | m2 | m3
-	for _, v := range rows {
-		m |= v
+	for _, x := range v {
+		m |= x
 	}
-	if m < 0 || m > lim {
-		return false
-	}
+	return m
+}
+
+// maxAbsSum returns the largest sum of |w| over the DKVs of s lanes in
+// dkvs, or -1 when some weight lies outside int32.
+func maxAbsSum(dkvs []int, s int) int {
+	top := 0
 	for j := 0; j < len(dkvs); j += s {
 		sum := 0
 		for _, w := range dkvs[j : j+s] {
-			if w < -lim || w > lim {
-				return false
+			if w < -sumsLimit || w > sumsLimit {
+				return -1
 			}
 			sum += max(w, -w)
 		}
-		if m > 0 && sum > lim/m {
-			return false
-		}
+		top = max(top, sum)
 	}
-	return true
+	return top
 }
 
 // exactTile4 runs every row against four DKVs (dkvs holds exactly

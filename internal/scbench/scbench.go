@@ -157,9 +157,12 @@ func tileConfig() core.Config {
 
 // PackedTile times Engine.DotTile over the served model's three conv
 // tiles (tileShapes) with a noisy ADC: ns/op is one example's conv
-// layers, the kernel and the keyed conversion without the rest of the
-// forward pass. Operands span the range quant feeds a served model, so
-// the timed path is the served one: row lanes in [0, 2^B-1], zero with
+// layers on materialized rows, the kernel and the keyed conversion
+// without the rest of the forward pass. (A served conv layer reaches
+// the engine through DotConv instead; BenchmarkSCConvTile in
+// internal/sckernel times the two entries against each other.)
+// Operands span the range quant feeds a served model, so the timed
+// kernel is the served one: row lanes in [0, 2^B-1], zero with
 // probability 0.4 as a ReLU leaves them, and weights in
 // [-(2^B-1), 2^B-1] (quantizeActs and quantizeSigned clamp to those).
 func PackedTile(b *testing.B) {

@@ -32,19 +32,20 @@ type Engine struct {
 	width       uint
 	mask, cmask uint64
 
-	// DotTile scratch, regrown per call and retained across calls so a
-	// pooled engine allocates nothing on the serving hot path (a few
-	// words per operand lane): the DKV lanes and mixed digests, the row
-	// digests, the packed rows of either kernel, and one row group's
-	// chunk counts. Every call writes these slice headers and the
-	// buffers behind them, so the headers sit between two cache-line
-	// pads and grow keeps each buffer a line clear of its neighbours:
-	// engines a pool builds one after another never write to one line
-	// from two cores.
+	// DotTile and DotConv scratch, regrown per call and retained across
+	// calls so a pooled engine allocates nothing on the serving hot path
+	// (a few words per operand lane): DotTile's DKV set, the row
+	// digests, DotConv's shifted planes and lane offsets, the packed rows
+	// of either kernel, and one row group's chunk counts. Every call
+	// writes these slice headers and the buffers behind them, so the
+	// headers sit between two cache-line pads and grow keeps each buffer
+	// a line clear of its neighbours: engines a pool builds one after
+	// another never write to one line from two cores.
 	_       [cacheLine]byte
-	lanes   []lane
-	dkvMix  []uint64
+	dk      dkvSet
 	rowKeys []uint64
+	p16     []uint16    // DotConv: the planes as uint16
+	offs    []int       // DotConv: each lane's offset in a window of p16
 	xs      []uint64    // portable kernel: e.fields rows per word
 	x16     []uint64    // SIMD kernel: 16 uint16 rows per lane
 	sums    []fieldSums // portable kernel: per chunk, a DKV pair's sums
@@ -203,41 +204,192 @@ func (e *Engine) DotTile(rows, dkvs []int, s int, out []int) {
 	if nr == 0 || nd == 0 {
 		return // no Dot calls: nothing to validate
 	}
-	ideal := e.adc.Ideal()
-	l := 1 << uint(e.cfg.Bits)
-	e.lanes = grow(e.lanes, nd*s)
-	e.dkvMix = grow(e.dkvMix, nd)
-	var wor uint64 // every weight magnitude ORed: below l when all are
+	e.prepare(&e.dk, dkvs, s)
+	e.tileRows(out, rows, nr, s, &e.dk)
+}
+
+// PrepareDKVs implements quant.ConvDotter: the weight rows as DotTile
+// validates them, in a set of their own (see dkvSet). It panics on an
+// out-of-range weight magnitude, as DotTile does.
+func (e *Engine) PrepareDKVs(dkvs []int, s int) any {
+	d := new(dkvSet)
+	e.prepare(d, dkvs, s)
+	return d
+}
+
+// DotConv implements quant.ConvDotter: DotTile(t.Rows(), dkvs, t.S(),
+// out) bit for bit, on the prepared DKV set w.
+//
+// Where the SIMD kernel takes the tile and each lane of 4 consecutive
+// output pixels is 4 consecutive plane values — stride 1 and OW a
+// multiple of 4, as in every conv tile of the served model — it packs
+// the rows straight from the planes: gather16 narrows the planes into
+// uint16 once, range-checking them in the same pass, moves each such
+// lane with one 64-bit load and digests the rows from the same words in
+// core.VecKey's lane order, so the keyed ADC noise does not move. Any
+// other tile (another geometry, no SIMD kernel, a plane value outside
+// [0, 2^B)) runs DotTile's path on the reference gather. The choice
+// depends on the geometry, the operands' range and the CPU alone.
+func (e *Engine) DotConv(t *quant.ConvTile, dkvs []int, w any, out []int) {
+	d := w.(*dkvSet)
+	nr, nd, s := t.OH*t.OW, len(d.mix), t.S()
+	if nr == 0 || nd == 0 {
+		return
+	}
+	if t.Stride == 1 && t.OW%4 == 0 && e.simdFits(nr, s, d.wor) && e.gather16(t) {
+		e.tile16(out, nr, nd, s, d)
+		return
+	}
+	e.tileRows(out, t.Rows(), nr, s, d)
+}
+
+// dkvSet is a tile's DKVs as the kernels read them: each lane's weight
+// magnitude and sign mask, each DKV's mixed digest (core.RowKey(rowKey,
+// dkvKey) = rowKey ^ Mix64(dkvKey), so the DKV half is mixed once, not
+// once per row; noisy ADC only) and the OR of every magnitude.
+type dkvSet struct {
+	lanes []lane
+	mix   []uint64
+	wor   uint64
+}
+
+// prepare fills d from the DKVs of s lanes in dkvs, panicking on a
+// weight magnitude above 2^B as the Dot loop would.
+func (e *Engine) prepare(d *dkvSet, dkvs []int, s int) {
+	nd, l := len(dkvs)/s, 1<<uint(e.cfg.Bits)
+	d.lanes, d.mix, d.wor = grow(d.lanes, nd*s), grow(d.mix, nd), 0
 	for j := range nd {
 		dkv := dkvs[j*s : (j+1)*s]
-		w := e.lanes[j*s : (j+1)*s]
+		w := d.lanes[j*s : (j+1)*s]
 		for k, wb := range dkv {
 			sg := wb >> signShift
 			if m := (wb ^ sg) - sg; uint(m) <= uint(l) {
 				w[k] = lane{mag: uint64(m), neg: uint64(sg)}
-				wor |= uint64(m)
+				d.wor |= uint64(m)
 			} else {
 				panic(fmt.Sprintf("sckernel: packed dot failed: weight magnitude out of range at lane %d (w=%d)", k, wb))
 			}
 		}
-		if !ideal {
-			// core.RowKey(rowKey, dkvKey) = rowKey ^ Mix64(dkvKey): the
-			// DKV half is mixed once here, not once per row.
-			e.dkvMix[j] = digest.Mix64(core.VecKey(dkv))
+		if !e.adc.Ideal() {
+			d.mix[j] = digest.Mix64(core.VecKey(dkv))
 		}
 	}
+}
+
+// tileRows digests and packs the nr materialized rows of s lanes and
+// counts them against the DKV set d on the kernel the tile allows.
+func (e *Engine) tileRows(out, rows []int, nr, s int, d *dkvSet) {
 	e.rowKeys = grow(e.rowKeys, nr)
-	if !ideal {
+	if !e.adc.Ideal() {
 		for i := range nr {
 			e.rowKeys[i] = core.VecKey(rows[i*s : (i+1)*s])
 		}
 	}
-	if e.simdFits(nr, s, wor) && e.packRows16(rows, nr, s) {
-		e.tile16(out, nr, nd, s)
+	if e.simdFits(nr, s, d.wor) && e.packRows16(rows, nr, s) {
+		e.tile16(out, nr, len(d.mix), s, d)
 		return
 	}
 	e.packRows(rows, nr, s)
-	e.tileFields(out, nr, nd, s)
+	e.tileFields(out, nr, len(d.mix), s, d)
+}
+
+// gather16 packs the rows of a stride-1 tile whose OW is a multiple of 4
+// for the SIMD kernel, in packRows16's layout, straight from its planes,
+// and digests them into e.rowKeys for a noisy ADC. The planes are
+// narrowed once into e.p16 as uint16, and their OR taken on the way; if
+// some value is not in [0, 2^B) it reports false and packs nothing.
+// Otherwise rows 4q..4q+3, the output pixels (oy, ox..ox+3), read lane k
+// from 4 consecutive plane values at the window's offset e.offs[k] from
+// (oy, ox): one 64-bit load per lane and row quad, scaled by 2^(16-B)
+// as a whole (below 2^B no field carries into the next). Quads past the
+// last row are left stale, as packRows16 may leave them.
+func (e *Engine) gather16(t *quant.ConvTile) bool {
+	or := 0
+	e.p16 = grow(e.p16, len(t.Planes))
+	p16 := e.p16[:len(t.Planes)]
+	for i, v := range t.Planes {
+		or |= v
+		p16[i] = uint16(v)
+	}
+	if uint(or) >= 1<<uint(e.cfg.Bits) {
+		return false
+	}
+	s := t.S()
+	e.offs = grow(e.offs, s)
+	k := 0
+	for ic := range t.C {
+		for ky := range t.K {
+			for kx := range t.K {
+				e.offs[k] = (ic*t.PH+ky)*t.PW + kx
+				k++
+			}
+		}
+	}
+	nr := t.OH * t.OW
+	e.x16 = grow(e.x16, (nr+15)/16*s*4)
+	e.rowKeys = grow(e.rowKeys, nr)
+	m, keyed := uint64(1)<<uint(16-e.cfg.Bits), !e.adc.Ideal()
+	q := 0 // the row quad: rows 4q..4q+3
+	for oy := range t.OH {
+		for ox := 0; ox < t.OW; ox += 4 {
+			p := e.p16[oy*t.PW+ox:]
+			gatherQuad(e.x16[q/4*s*4+q%4:], p, e.offs, m)
+			if keyed {
+				quadKeys((*[4]uint64)(e.rowKeys[4*q:]), p, e.offs)
+			}
+			q++
+		}
+	}
+	return true
+}
+
+// load4 returns the 4 uint16 values at p[o:], little-endian in one word
+// (the compiler makes it a single load).
+func load4(p []uint16, o int) uint64 {
+	v := p[o : o+4 : o+4]
+	return uint64(v[0]) | uint64(v[1])<<16 | uint64(v[2])<<32 | uint64(v[3])<<48
+}
+
+// gatherQuad writes lane k of a row quad, load4(p, offs[k]) times m, to
+// x[4k] for every lane.
+func gatherQuad(x []uint64, p []uint16, offs []int, m uint64) {
+	x = x[:4*len(offs)-3]
+	for k, o := range offs {
+		x[4*k] = load4(p, o) * m
+	}
+}
+
+// quadKeys sets keys[r] to core.VecKey of row r of the quad whose lane
+// k is field r of load4(p, offs[k]). VecKey feeds lane k to chain k%4
+// (the lanes past the last multiple of 4 to chain 0); each chain is run
+// here for the 4 rows at once.
+func quadKeys(keys *[4]uint64, p []uint16, offs []int) {
+	s := len(offs)
+	var h [4][4]uint64 // [chain][row]
+	for c := range 4 {
+		r0 := core.KeySeed(s, c)
+		r1, r2, r3 := r0, r0, r0
+		for k := c; k < s&^3; k += 4 {
+			r0, r1, r2, r3 = keyStep(r0, r1, r2, r3, load4(p, offs[k]))
+		}
+		if c == 0 {
+			for _, o := range offs[s&^3:] {
+				r0, r1, r2, r3 = keyStep(r0, r1, r2, r3, load4(p, o))
+			}
+		}
+		h[c] = [4]uint64{r0, r1, r2, r3}
+	}
+	for r := range keys {
+		keys[r] = core.KeyFinish(h[0][r], h[1][r], h[2][r], h[3][r])
+	}
+}
+
+// keyStep folds one gathered lane word w, 4 rows' uint16 fields, into
+// the 4 rows' states of one VecKey chain.
+func keyStep(r0, r1, r2, r3, w uint64) (uint64, uint64, uint64, uint64) {
+	const p = core.KeyPrime
+	return (r0 ^ uint64(uint16(w))) * p, (r1 ^ uint64(uint16(w>>16))) * p,
+		(r2 ^ uint64(uint16(w>>32))) * p, (r3 ^ w>>48) * p
 }
 
 // simdFits reports whether a tile of nr rows of s lanes, whose weight
@@ -288,11 +440,12 @@ func packQuad(x []uint64, r0, r1, r2, r3 []int, sh uint) (or int) {
 	return or
 }
 
-// tile16 runs the SIMD kernel over the rows packRows16 packed: each
-// DKV pair passes once over a 16-row group, one tile16x2 call per psum
-// chunk, and the group's counts convert straight from the kernel's
-// sums. An odd last DKV is counted against itself as the pair's second.
-func (e *Engine) tile16(out []int, nr, nd, s int) {
+// tile16 runs the SIMD kernel over the rows packRows16 or gather16
+// packed against the DKV set d: each DKV pair passes once over a 16-row
+// group, one tile16x2 call per psum chunk, and the group's counts
+// convert straight from the kernel's sums. An odd last DKV is counted
+// against itself as the pair's second.
+func (e *Engine) tile16(out []int, nr, nd, s int, d *dkvSet) {
 	n, nch := e.cfg.N, e.Chunks(s)
 	e.sums16 = grow(e.sums16, nch*64)
 	for g := range (nr + 15) / 16 {
@@ -300,23 +453,24 @@ func (e *Engine) tile16(out []int, nr, nd, s int) {
 		r0, rn := g*16, min(16, nr-g*16)
 		for j := 0; j < nd; j += 2 {
 			j1 := min(j+1, nd-1)
-			w0, w1 := e.lanes[j*s:(j+1)*s], e.lanes[j1*s:(j1+1)*s]
+			w0, w1 := d.lanes[j*s:(j+1)*s], d.lanes[j1*s:(j1+1)*s]
 			for c := range nch {
 				lo, hi := c*n, min((c+1)*n, s)
 				tile16x2(&x[lo*4], &w0[lo], &w1[lo], hi-lo, (*[64]uint16)(e.sums16[c*64:]))
 			}
-			e.convertRows16(out, nr, j, 0, r0, rn)
+			e.convertRows16(out, nr, j, 0, r0, rn, d.mix[j])
 			if j1 > j {
-				e.convertRows16(out, nr, j1, 1, r0, rn)
+				e.convertRows16(out, nr, j1, 1, r0, rn, d.mix[j1])
 			}
 		}
 	}
 }
 
 // convertRows16 converts DKV j's counts for the rn rows of a 16-row
-// group from row r0, the pair's DKV h in e.sums16.
-func (e *Engine) convertRows16(out []int, nr, j, h, r0, rn int) {
-	convertRows(e.adc, out[j*nr+r0:j*nr+r0+rn], e.rowKeys[r0:], e.dkvMix[j], e.sums16[32*h:], 16, 64, len(e.sums16)/64, 1<<uint(e.cfg.Bits))
+// group from row r0, the pair's DKV h in e.sums16; mix is DKV j's mixed
+// digest.
+func (e *Engine) convertRows16(out []int, nr, j, h, r0, rn int, mix uint64) {
+	convertRows(e.adc, out[j*nr+r0:j*nr+r0+rn], e.rowKeys[r0:], mix, e.sums16[32*h:], 16, 64, len(e.sums16)/64, 1<<uint(e.cfg.Bits))
 }
 
 // packRows range-checks the rows and packs them for the portable
@@ -343,11 +497,11 @@ func (e *Engine) packRows(rows []int, nr, s int) {
 	}
 }
 
-// tileFields runs the portable kernel over the rows packRows packed:
-// each DKV pair passes once over a row group (tile2 per psum chunk, tile1
-// for an odd last DKV), and the group's field sums unpack into e.counts
-// for the shared conversion loop.
-func (e *Engine) tileFields(out []int, nr, nd, s int) {
+// tileFields runs the portable kernel over the rows packRows packed
+// against the DKV set d: each DKV pair passes once over a row group
+// (tile2 per psum chunk, tile1 for an odd last DKV), and the group's
+// field sums unpack into e.counts for the shared conversion loop.
+func (e *Engine) tileFields(out []int, nr, nd, s int, d *dkvSet) {
 	f, shift := e.fields, uint(e.cfg.Bits)
 	n, nch := e.cfg.N, e.Chunks(s)
 	e.sums = grow(e.sums, 2*nch)
@@ -357,30 +511,30 @@ func (e *Engine) tileFields(out []int, nr, nd, s int) {
 		r0, rn := t*f, min(f, nr-t*f)
 		j := 0
 		for ; j+2 <= nd; j += 2 {
-			w0, w1 := e.lanes[j*s:(j+1)*s], e.lanes[(j+1)*s:(j+2)*s]
+			w0, w1 := d.lanes[j*s:(j+1)*s], d.lanes[(j+1)*s:(j+2)*s]
 			for c := range nch {
 				lo, hi := c*n, min((c+1)*n, s)
 				e.sums[2*c], e.sums[2*c+1] = tile2(x[lo:hi], w0[lo:hi], w1[lo:hi], shift, e.mask)
 			}
-			e.convertFields(out, nr, j, 0, r0, rn)
-			e.convertFields(out, nr, j+1, 1, r0, rn)
+			e.convertFields(out, nr, j, 0, r0, rn, d.mix[j])
+			e.convertFields(out, nr, j+1, 1, r0, rn, d.mix[j+1])
 		}
 		for ; j < nd; j++ {
-			w := e.lanes[j*s : (j+1)*s]
+			w := d.lanes[j*s : (j+1)*s]
 			for c := range nch {
 				lo, hi := c*n, min((c+1)*n, s)
 				e.sums[2*c] = tile1(x[lo:hi], w[lo:hi], shift, e.mask)
 			}
-			e.convertFields(out, nr, j, 0, r0, rn)
+			e.convertFields(out, nr, j, 0, r0, rn, d.mix[j])
 		}
 	}
 }
 
 // convertFields unpacks DKV j's field sums (the pair's DKV h in e.sums)
-// for the rn rows of a group from row r0 and converts them. A chunk's
-// counts are at most min(N, S)*2^B, inside the PCA capacity, so the
-// capacity check cannot fire here.
-func (e *Engine) convertFields(out []int, nr, j, h, r0, rn int) {
+// for the rn rows of a group from row r0 and converts them; mix is DKV
+// j's mixed digest. A chunk's counts are at most min(N, S)*2^B, inside
+// the PCA capacity, so the capacity check cannot fire here.
+func (e *Engine) convertFields(out []int, nr, j, h, r0, rn int, mix uint64) {
 	f, cmask, nch := e.fields, e.cmask, len(e.sums)/2
 	for c := range nch {
 		fs, cnt := e.sums[2*c+h], e.counts[2*f*c:2*f*(c+1)]
@@ -389,7 +543,7 @@ func (e *Engine) convertFields(out []int, nr, j, h, r0, rn int) {
 			cnt[r], cnt[f+r] = fs.total>>sh&cmask, fs.neg>>sh&cmask
 		}
 	}
-	convertRows(e.adc, out[j*nr+r0:j*nr+r0+rn], e.rowKeys[r0:], e.dkvMix[j], e.counts, f, 2*f, nch, 1<<uint(e.cfg.Bits))
+	convertRows(e.adc, out[j*nr+r0:j*nr+r0+rn], e.rowKeys[r0:], mix, e.counts, f, 2*f, nch, 1<<uint(e.cfg.Bits))
 }
 
 // convertRows is the one conversion loop of both kernels: out[r] is

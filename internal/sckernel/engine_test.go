@@ -501,26 +501,24 @@ func TestZeroLengthDot(t *testing.T) {
 
 // TestScratchOwnsCacheLines: two engines built one after another, as a
 // serving pool builds them, never write to one cache line — neither the
-// scratch slice headers every DotTile call writes nor the buffers
-// behind them, of either kernel — so pooled engines running on two
-// cores do not share a line.
+// scratch slice headers every DotTile or DotConv call writes nor the
+// buffers behind them, of either kernel and of DotConv's gather (the
+// shifted planes and the lane offsets) — so pooled engines running on
+// two cores do not share a line. Nor does one engine write to a line of
+// the other's prepared weight rows, which its tiles read.
 func TestScratchOwnsCacheLines(t *testing.T) {
 	type span struct{ lo, hi uintptr }
-	lines := func(e *Engine) map[uintptr]bool {
-		spans := []span{{uintptr(unsafe.Pointer(&e.lanes)), uintptr(unsafe.Pointer(&e.sums16)) + unsafe.Sizeof(e.sums16)}}
-		add := func(p unsafe.Pointer, n int) {
-			if n > 0 {
-				spans = append(spans, span{uintptr(p), uintptr(p) + uintptr(n)})
-			}
+	add := func(spans []span, p unsafe.Pointer, n int) []span {
+		if n > 0 {
+			spans = append(spans, span{uintptr(p), uintptr(p) + uintptr(n)})
 		}
-		add(unsafe.Pointer(unsafe.SliceData(e.lanes)), len(e.lanes)*int(unsafe.Sizeof(lane{})))
-		add(unsafe.Pointer(unsafe.SliceData(e.dkvMix)), 8*len(e.dkvMix))
-		add(unsafe.Pointer(unsafe.SliceData(e.rowKeys)), 8*len(e.rowKeys))
-		add(unsafe.Pointer(unsafe.SliceData(e.xs)), 8*len(e.xs))
-		add(unsafe.Pointer(unsafe.SliceData(e.x16)), 8*len(e.x16))
-		add(unsafe.Pointer(unsafe.SliceData(e.sums)), len(e.sums)*int(unsafe.Sizeof(fieldSums{})))
-		add(unsafe.Pointer(unsafe.SliceData(e.counts)), 8*len(e.counts))
-		add(unsafe.Pointer(unsafe.SliceData(e.sums16)), 2*len(e.sums16))
+		return spans
+	}
+	dkvSpans := func(spans []span, d *dkvSet) []span {
+		spans = add(spans, unsafe.Pointer(unsafe.SliceData(d.lanes)), len(d.lanes)*int(unsafe.Sizeof(lane{})))
+		return add(spans, unsafe.Pointer(unsafe.SliceData(d.mix)), 8*len(d.mix))
+	}
+	lineSet := func(spans []span) map[uintptr]bool {
 		set := map[uintptr]bool{}
 		for _, s := range spans {
 			for l := s.lo / cacheLine; l <= (s.hi-1)/cacheLine; l++ {
@@ -529,13 +527,29 @@ func TestScratchOwnsCacheLines(t *testing.T) {
 		}
 		return set
 	}
+	written := func(e *Engine) map[uintptr]bool {
+		spans := []span{{uintptr(unsafe.Pointer(&e.dk)), uintptr(unsafe.Pointer(&e.sums16)) + unsafe.Sizeof(e.sums16)}}
+		spans = dkvSpans(spans, &e.dk)
+		spans = add(spans, unsafe.Pointer(unsafe.SliceData(e.rowKeys)), 8*len(e.rowKeys))
+		spans = add(spans, unsafe.Pointer(unsafe.SliceData(e.p16)), len(e.p16))
+		spans = add(spans, unsafe.Pointer(unsafe.SliceData(e.offs)), 8*len(e.offs))
+		spans = add(spans, unsafe.Pointer(unsafe.SliceData(e.xs)), 8*len(e.xs))
+		spans = add(spans, unsafe.Pointer(unsafe.SliceData(e.x16)), 8*len(e.x16))
+		spans = add(spans, unsafe.Pointer(unsafe.SliceData(e.sums)), len(e.sums)*int(unsafe.Sizeof(fieldSums{})))
+		spans = add(spans, unsafe.Pointer(unsafe.SliceData(e.counts)), 8*len(e.counts))
+		spans = add(spans, unsafe.Pointer(unsafe.SliceData(e.sums16)), 2*len(e.sums16))
+		return lineSet(spans)
+	}
 	cfg := testCfg(8, false)
 	rng := rand.New(rand.NewSource(12))
 	// Quantizer-range operands take the SIMD kernel where the CPU has
-	// one; a lane at 2^B sends a tile to the portable kernel.
+	// one; a lane at 2^B sends a tile to the portable kernel. The conv
+	// tile takes DotConv's gather.
 	rows, dkvs := quantOperands(rng, cfg.Bits, 17, 3, 20, false)
 	full, fdkvs := fullScaleOperands(rng, cfg.Bits, 5, 3, 20)
+	tile, cdkvs := convOperands(rng, cfg.Bits, convGeom{c: 2, k: 3, stride: 1, pad: 1, h: 8, w: 8, nd: 3}, "quant")
 	var engines [2]*Engine
+	var prepared [2]*dkvSet
 	for i := range engines {
 		e, err := New(cfg)
 		if err != nil {
@@ -543,12 +557,22 @@ func TestScratchOwnsCacheLines(t *testing.T) {
 		}
 		e.DotTile(rows, dkvs, 20, make([]int, 17*3))
 		e.DotTile(full, fdkvs, 20, make([]int, 5*3))
+		prepared[i] = e.PrepareDKVs(cdkvs, tile.S()).(*dkvSet)
+		e.DotConv(tile, cdkvs, prepared[i], make([]int, tile.OH*tile.OW*3))
+		if useSIMD && len(e.offs) == 0 {
+			t.Fatal("the conv tile did not take DotConv's gather")
+		}
 		engines[i] = e
 	}
-	a, b := lines(engines[0]), lines(engines[1])
-	for l := range a {
-		if b[l] {
-			t.Fatalf("engines share the cache line at %#x", l*cacheLine)
+	for i, e := range engines {
+		mine, other := written(e), written(engines[1-i])
+		for l := range lineSet(dkvSpans(nil, prepared[1-i])) {
+			other[l] = true
+		}
+		for l := range mine {
+			if other[l] {
+				t.Fatalf("engine %d writes to the cache line at %#x, which engine %d uses", i, l*cacheLine, 1-i)
+			}
 		}
 	}
 }

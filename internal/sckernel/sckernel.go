@@ -34,7 +34,12 @@
 //
 // No flag, option or environment variable selects the kernel; both
 // produce the same counts, and both feed one conversion loop over the
-// stateless core.ADC. The per-vector Dot counts each psum chunk with
+// stateless core.ADC. The conv entry, DotConv (quant.ConvDotter), feeds
+// the same kernels from one example's quantized planes instead of a
+// gathered block: on a stride-1 tile whose output width is a multiple
+// of 4 it packs the SIMD kernel's rows straight from the planes and
+// digests them on the way (an implicit GEMM), against weight rows
+// prepared once per layer; any other tile takes the reference gather. The per-vector Dot counts each psum chunk with
 // one multiply and shift per lane.
 //
 // The contract is bitwise pinning, the same pattern as ForwardNaive vs
